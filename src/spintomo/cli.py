@@ -2,8 +2,9 @@
 
 Subcommands: ``quorum check``, ``quorum dual``, ``simulate``, ``fig1``.
 Exit codes: 0 success / complete, 1 domain negative result (incomplete
-quorum, singular Gram matrix), 2 usage or parse error.  All file outputs
-are byte-stable for identical inputs, seeds and thread declarations.
+quorum, singular Gram matrix, non-real dual coefficient), 2 usage or parse
+error.  All file outputs are byte-stable for identical inputs, seeds and
+thread declarations.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .experiments import (
     resolve_target,
     simulate_run,
 )
+from .estimator import DualCoefficientError
 from .frames import IncompleteQuorumError, SingularGramError, Quorum
 from .spin import make_spin_system, pauli_quorum
 
@@ -248,7 +250,7 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
 
     try:
         stats, rows, exact = simulate_run(cfg, state_val, target_op, runner)
-    except (IncompleteQuorumError, SingularGramError) as err:
+    except (IncompleteQuorumError, SingularGramError, DualCoefficientError) as err:
         _fail_domain(str(err))
     except ValueError as err:
         _fail_parse(str(err))

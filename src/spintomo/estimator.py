@@ -27,7 +27,22 @@ from .liouville import (
     is_hermitian,
     require_hermitian,
 )
-from .spin import Direction, SpinState, SpinSystem, WeigertQuorum
+from .spin import Direction, SpinState, SpinSystem, WeigertQuorum, _EulerRotation, _rows_times
+
+
+class DualCoefficientError(ValueError):
+    """A dual coefficient Tr[B^dag a] of a Hermitian target is not real.
+
+    Exact duals of a Hermitian quorum give real coefficients, so this is a
+    numerical refusal: the dual frame is too inaccurate for the target.
+    """
+
+
+def _dual_coefficient(b: np.ndarray, a: np.ndarray, what: str) -> float:
+    coeff = complex(np.vdot(b, a))
+    if abs(coeff.imag) > 1e-8 * (1.0 + abs(coeff)):
+        raise DualCoefficientError(f"non-real dual coefficient for {what}: {coeff}")
+    return coeff.real
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -229,10 +244,7 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame):
     for c, b, label in zip(quorum.elements, dual.elements, quorum.labels):
         require_hermitian(c, f"quorum element {label!r}")
         w, v = eig_hermitian(c)
-        coeff = complex(np.vdot(b, a))
-        if abs(coeff.imag) > 1e-8 * (1.0 + abs(coeff)):
-            raise ValueError(f"non-real dual coefficient for setting {label!r}: {coeff}")
-        values = w * coeff.real
+        values = w * _dual_coefficient(b, a, f"setting {label!r}")
         spread = w.max() - w.min()
         if spread <= 1e-12 * (1.0 + np.abs(w).max()):
             constant += float(values.mean())
@@ -343,6 +355,17 @@ def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) 
 # ---------------------------------------------------------------------------
 # continuous quorum: spin component along every direction
 
+# Complex values per in-chunk array of the continuous estimator.  A block is
+# processed in chunks of this many values over the values one sample needs,
+# so peak memory depends neither on n_samples nor on the block size.
+_CHUNK_VALUES = 1 << 18
+
+
+def _kernel_from_diagonals(lower, center, upper, dim: int):
+    """(2s+1) * (A_m - A_{m+1}/2 - A_{m-1}/2) from the three diagonal elements."""
+    return dim * (center - 0.5 * upper - 0.5 * lower)
+
+
 def _direction_kernel_rows(a_diag: np.ndarray, dim: int) -> np.ndarray:
     """Outcome kernel for each row of eigenbasis diagonals of the target.
 
@@ -353,10 +376,31 @@ def _direction_kernel_rows(a_diag: np.ndarray, dim: int) -> np.ndarray:
     directions and Born-distributed outcomes, exactly unbiased.
     """
     padded = np.pad(a_diag, [(0, 0)] * (a_diag.ndim - 1) + [(1, 1)])
-    center = padded[..., 1:-1]
-    upper = padded[..., 2:]
-    lower = padded[..., :-2]
-    return dim * (center - 0.5 * upper - 0.5 * lower)
+    return _kernel_from_diagonals(padded[..., :-2], padded[..., 1:-1], padded[..., 2:], dim)
+
+
+def _row_expectations(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Re <v|op|v> for every row v, over the last axis."""
+    return np.sum(rows.conj() * _rows_times(rows, op.T), axis=-1).real
+
+
+def _state_factors(psi: np.ndarray | None, rho: np.ndarray | None):
+    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|.
+
+    A pure state is one row of weight 1; a density matrix keeps the
+    eigenvectors whose eigenvalues are nonzero at working precision.
+    """
+    if psi is not None:
+        return np.ones(1), psi[None, :]
+    lam, vec = np.linalg.eigh(rho)
+    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
+    return lam[keep], vec[:, keep].T
+
+
+def _direction_born(euler: _EulerRotation, phases, weights, rows) -> np.ndarray:
+    """Born probabilities p[f, m] = <R_f m|rho|R_f m> for each direction f."""
+    amp = euler.adjoint_apply(phases, rows)
+    return np.einsum("k,fkm->fm", weights, amp.real**2 + amp.imag**2)
 
 
 def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction) -> float:
@@ -375,9 +419,28 @@ def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction)
     idx = int(round(idx_f))
     if abs(idx_f - idx) > 1e-9 or not (0 <= idx < system.dim):
         raise ValueError(f"m = {m} is not an eigenvalue of a spin-{system.s} component")
-    _, v = eig_hermitian(system.spin_along(n))
-    diag = np.einsum("ik,ij,jk->k", v.conj(), a, v).real
+    euler = _EulerRotation(system)
+    eigvecs = euler.columns(
+        euler.phases(np.array([n.theta]), np.array([n.phi])), np.arange(system.dim)
+    )
+    diag = _row_expectations(eigvecs[0], a)
     return float(_direction_kernel_rows(diag, system.dim)[idx])
+
+
+def _block_generators(seed: int, block: int, nb: int) -> list[np.random.Generator]:
+    """Streams of the block's cos theta, phi and u draws, in that order.
+
+    Each is the block's ``default_rng([seed, block])`` stream advanced past
+    the draws before it, so drawing the three in chunks reproduces the
+    arrays drawn whole.
+    """
+    seq = np.random.SeedSequence([seed, block])
+    gens = []
+    for k in range(3):
+        bits = np.random.PCG64(seq)
+        bits.advance(k * int(nb))
+        gens.append(np.random.Generator(bits))
+    return gens
 
 
 def estimate_continuous(
@@ -393,8 +456,12 @@ def estimate_continuous(
 
     Each sample draws one direction (cos theta uniform, phi uniform),
     simulates a single measurement of S.n, and accumulates the closed-form
-    outcome kernel.  Blocks own derived seeds (seed, block) and are merged
-    in a fixed order, so the result is reproducible for any worker count.
+    outcome kernel.  The eigenvectors of S.n are the columns of the Euler
+    rotation exp(-i phi S_z) exp(-i theta S_y), so a sample costs a few
+    d x d products and no diagonalisation.  Blocks own derived seeds
+    (seed, block) and are merged in a fixed order, so the result is
+    reproducible for any worker count; each block is streamed in chunks of
+    bounded size.
     """
     a = np.asarray(a, dtype=complex)
     require_hermitian(a, "target operator")
@@ -404,31 +471,34 @@ def estimate_continuous(
         raise ValueError("n_blocks must be >= 2")
     if n_samples < n_blocks:
         raise ValueError(f"n_samples = {n_samples} cannot fill {n_blocks} blocks")
-    psi_amp, rho = _state_arrays(state, system.dim)
-    spin_stack = np.stack([system.sx, system.sy, system.sz])
+    weights, rows = _state_factors(*_state_arrays(state, system.dim))
+    euler = _EulerRotation(system)
     d = system.dim
+    chunk = max(1, _CHUNK_VALUES // (d * max(3, rows.shape[0])))
+    offsets = np.array([-1, 0, 1])
 
     sizes = _block_sizes(n_samples, n_blocks)
     block_means = np.zeros(n_blocks)
     for bi, nb in enumerate(sizes):
-        rng = np.random.default_rng([seed, bi])
-        cos_t = rng.uniform(-1.0, 1.0, size=nb)
-        phi = rng.uniform(0.0, 2 * np.pi, size=nb)
-        u = rng.random(nb)
-        sin_t = np.sqrt(1.0 - cos_t**2)
-        nvec = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
-        h = np.einsum("fi,ijk->fjk", nvec, spin_stack)
-        _, vec = np.linalg.eigh(h)
-        if psi_amp is not None:
-            p = np.abs(np.einsum("fik,i->fk", vec.conj(), psi_amp)) ** 2
-        else:
-            p = np.einsum("fik,ij,fjk->fk", vec.conj(), rho, vec).real
-        p = np.clip(p, 0.0, 1.0)
-        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-        idx = np.minimum((cdf <= u[:, None]).sum(axis=1), d - 1)
-        diag = np.einsum("fik,ij,fjk->fk", vec.conj(), a, vec).real
-        kernels = _direction_kernel_rows(diag, d)
-        block_means[bi] = float(kernels[np.arange(nb), idx].mean())
+        cos_gen, phi_gen, u_gen = _block_generators(seed, bi, nb)
+        total = 0.0
+        for start in range(0, nb, chunk):
+            c = min(chunk, nb - start)
+            theta = np.arccos(cos_gen.uniform(-1.0, 1.0, size=c))
+            phi = phi_gen.uniform(0.0, 2 * np.pi, size=c)
+            u = u_gen.random(c)
+            phases = euler.phases(theta, phi)
+            p = np.clip(_direction_born(euler, phases, weights, rows), 0.0, 1.0)
+            cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+            idx = np.minimum((cdf <= u[:, None]).sum(axis=1), d - 1)
+            # Only <R m'|a|R m'> for m' = m - 1, m, m + 1 enter the kernel;
+            # rows outside -s..s are computed clamped and masked to zero.
+            near = idx[:, None] + offsets
+            inside = (near >= 0) & (near < d)
+            diag = _row_expectations(euler.columns(phases, np.clip(near, 0, d - 1)), a)
+            diag = np.where(inside, diag, 0.0)
+            total += float(_kernel_from_diagonals(diag[:, 0], diag[:, 1], diag[:, 2], d).sum())
+        block_means[bi] = total / nb
     return _stats_from_blocks(
         block_means, sizes, n_samples, "continuous", seed, "uniform_direction"
     )
@@ -449,6 +519,8 @@ def continuous_exact_value(
     """
     a = np.asarray(a, dtype=complex)
     require_hermitian(a, "target operator")
+    if a.shape[0] != system.dim:
+        raise DimensionMismatchError(f"operator dim {a.shape[0]} != spin dim {system.dim}")
     if n_theta is None:
         n_theta = system.two_s + 4
     if n_phi is None:
@@ -456,28 +528,17 @@ def continuous_exact_value(
     cos_nodes, w_cos = np.polynomial.legendre.leggauss(n_theta)
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2 * np.pi / n_phi
-    spin_stack = np.stack([system.sx, system.sy, system.sz])
-    psi_amp, rho = _state_arrays(state, system.dim)
+    weights, rows = _state_factors(*_state_arrays(state, system.dim))
 
-    sin_nodes = np.sqrt(1.0 - cos_nodes**2)
-    nvec = np.stack(
-        [
-            np.outer(sin_nodes, np.cos(phi)).reshape(-1),
-            np.outer(sin_nodes, np.sin(phi)).reshape(-1),
-            np.repeat(cos_nodes, n_phi),
-        ],
-        axis=1,
-    )
-    weights = np.repeat(w_cos * w_phi, n_phi)
-    h = np.einsum("fi,ijk->fjk", nvec, spin_stack)
-    _, vec = np.linalg.eigh(h)
-    if psi_amp is not None:
-        p = np.abs(np.einsum("fik,i->fk", vec.conj(), psi_amp)) ** 2
-    else:
-        p = np.einsum("fik,ij,fjk->fk", vec.conj(), rho, vec).real
-    diag = np.einsum("fik,ij,fjk->fk", vec.conj(), a, vec).real
+    theta = np.repeat(np.arccos(cos_nodes), n_phi)
+    phi = np.tile(phi, n_theta)
+    euler = _EulerRotation(system)
+    phases = euler.phases(theta, phi)
+    p = _direction_born(euler, phases, weights, rows)
+    diag = _row_expectations(euler.columns(phases, np.arange(system.dim)), a)
     kernels = _direction_kernel_rows(diag, system.dim)
-    return float(np.sum(weights * np.sum(p * kernels, axis=1)) / (4 * np.pi))
+    w_dir = np.repeat(w_cos * w_phi, n_phi)
+    return float(np.sum(w_dir * np.sum(p * kernels, axis=1)) / (4 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +558,9 @@ def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, scale_by_spin: bool):
     for k, (n, b) in enumerate(zip(wq.directions, wq.dual.elements)):
         _, v = eig_hermitian(wq.system.spin_along(n))
         eigvecs.append(v)
-        coeff = complex(np.vdot(b, a))
-        if abs(coeff.imag) > 1e-8 * (1.0 + abs(coeff)):
-            raise ValueError(f"non-real dual coefficient for direction {k}: {coeff}")
         # Only the maximal outcome m = s carries weight: the estimator is
         # sum_k p(s, n_k) Tr[a Q^k].
-        values[k, d - 1] = factor * coeff.real
+        values[k, d - 1] = factor * _dual_coefficient(b, a, f"direction {k}")
     return eigvecs, values
 
 

@@ -300,8 +300,9 @@ def reproducing_kernel_residual(q: Quorum, dual: DualFrame) -> float:
 
     Returns the larger of the two defects
     ``max_n' || sum_n delta(n,n') C_n - C_n' ||`` and
-    ``max_n' || sum_n conj(delta(n,n')) B_n - B_n' ||``.
-    Both vanish for exact dual pairs on linearly independent quorums.
+    ``max_n || sum_n' conj(delta(n,n')) B_n' - B_n ||``.
+    Both vanish for exact dual pairs, including the Gram-Schmidt dual of a
+    linearly dependent quorum, whose dropped elements have zero duals.
     """
     if q.dim != dual.dim or len(q) != len(dual):
         raise DimensionMismatchError("quorum and dual frame do not align")
@@ -309,7 +310,7 @@ def reproducing_kernel_residual(q: Quorum, dual: DualFrame) -> float:
     b = np.stack([e.reshape(-1) for e in dual.elements], axis=1)
     delta = b.conj().T @ c  # delta[n, n'] = Tr[B_n^dag C_n']
     res_c = np.linalg.norm(c @ delta - c, axis=0).max()
-    res_b = np.linalg.norm(b @ np.conj(delta) - b, axis=0).max()
+    res_b = np.linalg.norm(b @ delta.conj().T - b, axis=0).max()
     return float(max(res_c, res_b))
 
 

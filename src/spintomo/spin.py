@@ -148,6 +148,51 @@ def coherent_state(system: SpinSystem, alpha: complex) -> SpinState:
     return SpinState(u[:, 0])
 
 
+class _EulerRotation:
+    """Rotations R(theta, phi) = exp(-i phi S_z) exp(-i theta S_y) of one spin.
+
+    R S_z R^dag = S.n for n = (sin theta cos phi, sin theta sin phi,
+    cos theta), so the column R|m> is the eigenvector of S.n with eigenvalue
+    m.  S_y = W diag(mu) W^dag is diagonalised once; applying R or R^dag to
+    a vector then costs two d x d products and two diagonal phases, with no
+    per-direction diagonalisation.  Vectors are stored as array rows.
+    """
+
+    def __init__(self, system: SpinSystem):
+        self.mu, self.w = eig_hermitian(system.sy)
+        self.m = np.arange(system.dim) - system.s
+
+    def phases(self, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal factors exp(-i theta mu) and exp(-i phi m), each (F, 1, d).
+
+        Computed once per set of directions and shared by ``columns`` and
+        ``adjoint_apply``, which conjugates them.
+        """
+        return (
+            np.exp(-1j * theta[:, None, None] * self.mu),
+            np.exp(-1j * phi[:, None, None] * self.m),
+        )
+
+    def columns(self, phases: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
+        """Rows R|idx> of shape (F, k, d); ``idx`` has shape (k,) or (F, k)."""
+        y_phase, z_phase = phases
+        return _rows_times(self.w.conj()[idx] * y_phase, self.w.T) * z_phase
+
+    def adjoint_apply(self, phases: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+        """Rows R^dag x of shape (F, k, d); ``x`` broadcasts to that shape.
+
+        Component m of R^dag x is the amplitude <R m|x> of outcome m of S.n.
+        """
+        y_phase, z_phase = phases
+        x = _rows_times(x * z_phase.conj(), self.w.conj())
+        return _rows_times(x * y_phase.conj(), self.w.T)
+
+
+def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat over the last axis, as one (rows, d) x (d, d') matrix product."""
+    return (x.reshape(-1, x.shape[-1]) @ mat).reshape(x.shape[:-1] + mat.shape[1:])
+
+
 def rotation_d(system: SpinSystem, psi: float, n: Direction) -> np.ndarray:
     """Rotation operator exp(i psi S.n); unitary."""
     return op_exp(system.spin_along(n), psi)
@@ -268,8 +313,10 @@ def random_directions(count: int, seed: int) -> list[Direction]:
 class QuadratureGrid:
     """Node counts for the product rule on (cos theta, phi, psi).
 
-    Gauss-Legendre in cos(theta) and psi, uniform trapezoid in phi: the
-    integrands are polynomial-like in the first two and periodic in phi.
+    Gauss-Legendre in cos(theta), uniform trapezoid in phi and psi: the
+    integrands are polynomials in cos(theta) and trigonometric polynomials
+    with integer frequencies in phi and psi, which the trapezoid rule
+    integrates exactly once the node count exceeds the highest frequency.
     """
 
     n_theta: int
@@ -291,15 +338,18 @@ def _as_grid(grid) -> QuadratureGrid:
     return QuadratureGrid(int(nt), int(nphi), int(npsi))
 
 
+def _psi_rule(n_psi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes on [0, 2 pi) with the Haar weight sin^2(psi/2) folded in."""
+    psi = 2 * math.pi * np.arange(n_psi) / n_psi
+    return psi, (2 * math.pi / n_psi) * np.sin(psi / 2) ** 2
+
+
 def haar_volume(grid) -> float:
     """Quadrature value of the group volume integral; exact value 4 pi^2."""
     g = _as_grid(grid)
     _, w_cos = np.polynomial.legendre.leggauss(g.n_theta)
-    psi_nodes, w_psi = np.polynomial.legendre.leggauss(g.n_psi)
-    psi = math.pi * (psi_nodes + 1.0)
-    w_psi = math.pi * w_psi
-    vol_psi = float(np.sum(w_psi * np.sin(psi / 2) ** 2))
-    return float(np.sum(w_cos)) * (2 * math.pi) * vol_psi
+    _, w_psi = _psi_rule(g.n_psi)
+    return float(np.sum(w_cos)) * (2 * math.pi) * float(np.sum(w_psi))
 
 
 def su2_orthogonality_residual(system: SpinSystem, grid) -> float:
@@ -313,27 +363,26 @@ def su2_orthogonality_residual(system: SpinSystem, grid) -> float:
     g = _as_grid(grid)
     d = system.dim
     cos_nodes, w_cos = np.polynomial.legendre.leggauss(g.n_theta)
-    psi_nodes, w_psi = np.polynomial.legendre.leggauss(g.n_psi)
-    psi = math.pi * (psi_nodes + 1.0)
-    w_psi = math.pi * w_psi * np.sin(psi / 2) ** 2
+    psi, w_psi = _psi_rule(g.n_psi)
     phi = 2 * math.pi * np.arange(g.n_phi) / g.n_phi
     w_phi = 2 * math.pi / g.n_phi
 
-    spin_stack = np.stack([system.sx, system.sy, system.sz])
-    acc = np.zeros((d, d, d, d), dtype=complex)
+    euler = _EulerRotation(system)
+    psi_phase = np.exp(1j * np.outer(psi, euler.m))  # (psi, d)
+    w_slab = np.tile(w_psi, g.n_phi)[:, None]  # (phi * psi, 1), phi-major
+    acc = np.zeros((d * d, d * d), dtype=complex)
     # One theta slab at a time keeps memory flat; the slab order is fixed so
     # the summation is deterministic.
     for it in range(g.n_theta):
-        ct = cos_nodes[it]
-        st = math.sqrt(max(0.0, 1.0 - ct * ct))
-        nvec = np.stack([st * np.cos(phi), st * np.sin(phi), np.full_like(phi, ct)], axis=1)
-        h = np.einsum("fi,ijk->fjk", nvec, spin_stack)
-        lam, vec = np.linalg.eigh(h)
-        phases = np.exp(1j * psi[None, :, None] * lam[:, None, :])  # (phi, psi, d)
-        u = np.einsum("fij,fpj,fkj->fpik", vec, phases, vec.conj())
-        acc += w_cos[it] * w_phi * np.einsum("p,fpjr,fpkt->jrtk", w_psi, u, u.conj())
+        theta = np.full(g.n_phi, math.acos(cos_nodes[it]))
+        rot = euler.columns(euler.phases(theta, phi), np.arange(d)).transpose(0, 2, 1)  # R[f, j, l]
+        # exp(i psi S.n) = R exp(i psi S_z) R^dag, one (d^2)-vector per (phi, psi)
+        u = (rot[:, None] * psi_phase[None, :, None, :]) @ rot.conj().transpose(0, 2, 1)[:, None]
+        u = u.reshape(-1, d * d)
+        acc += (w_cos[it] * w_phi) * (u.T @ (w_slab * u.conj()))
     acc *= (system.dim) / (4 * math.pi**2)
 
+    # acc[(j, r), (k, t)] integrates <j|U|r> conj(<k|U|t>) = <j|U|r><t|U^dag|k>
     eye = np.eye(d)
-    target = np.einsum("jk,tr->jrtk", eye, eye)
+    target = np.einsum("jk,rt->jrkt", eye, eye).reshape(d * d, d * d)
     return float(np.abs(acc - target).max())

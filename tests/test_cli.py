@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spintomo import serialize, verify_spanning_definitions
+from spintomo import random_hermitian, serialize, verify_spanning_definitions
 from spintomo.cli import main
 from spintomo.spin import make_spin_system, max_spin_projector, pauli_quorum, tetrahedral_directions
 from spintomo.frames import Quorum
@@ -165,6 +165,22 @@ class TestSimulate:
         assert doc["estimator"] == "weigert"
         assert doc["n_samples"] == 8000
         assert abs(doc["mean"] - doc["exact"]) <= 4 * doc["error_bar"]
+
+    def test_weigert_inaccurate_dual_domain_error(self, runner, tmp_path):
+        # at d = 8 these random directions give cond(G) ~ 2e9; the Gram dual
+        # then leaves imaginary parts in Tr[B^dag A] that the estimator refuses
+        a = tmp_path / "a.json"
+        target = random_hermitian(8, np.random.default_rng(1))
+        a.write_text(serialize.dumps(serialize.op_to_json_dict(target)))
+        result = runner.invoke(
+            main,
+            [
+                "simulate", "--quorum", "weigert", "--spin-two-s", "7", "--weigert-seed", "2",
+                "--target", f"file:{a}", "--n-samples", "6400", "--state", "coherent:1",
+            ],
+        )
+        assert result.exit_code == 1
+        assert "non-real dual coefficient" in result.output
 
     def test_continuous_with_checkpoints_csv(self, runner, tmp_path):
         out = tmp_path / "run.json"

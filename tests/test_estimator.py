@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spintomo import estimator
 from spintomo import (
     DimensionMismatchError,
     NotHermitianError,
@@ -28,7 +31,8 @@ from spintomo import (
     weigert_exact_value,
     weigert_quorum,
 )
-from spintomo.spin import Direction
+from spintomo.estimator import _direction_born, _state_factors
+from spintomo.spin import Direction, _EulerRotation
 
 from conftest import psi_quadrature_kernel
 
@@ -292,6 +296,116 @@ class TestContinuousEstimator:
     def test_budget_validated(self, spin_half, coherent2):
         with pytest.raises(ValueError, match="blocks"):
             estimate_continuous(spin_half.sz, spin_half, coherent2, 10, n_blocks=20)
+
+
+def eigh_reference_block_means(a, system, state, n_samples, n_blocks, seed):
+    """Continuous estimator by a batched eigh of S.n per sample.
+
+    Kept as the reference for the Euler-rotation route: same draws
+    (cos theta, phi, u from default_rng([seed, block])), same outcome rule.
+    """
+    d = system.dim
+    state = np.asarray(state, dtype=complex)
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    spins = np.stack([system.sx, system.sy, system.sz])
+    base, extra = divmod(n_samples, n_blocks)
+    means = []
+    for bi in range(n_blocks):
+        nb = base + (1 if bi < extra else 0)
+        rng = np.random.default_rng([seed, bi])
+        cos_t = rng.uniform(-1.0, 1.0, size=nb)
+        phi = rng.uniform(0.0, 2 * np.pi, size=nb)
+        u = rng.random(nb)
+        sin_t = np.sqrt(1.0 - cos_t**2)
+        nvec = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
+        _, vec = np.linalg.eigh(np.einsum("fi,ijk->fjk", nvec, spins))
+        p = np.clip(np.einsum("fik,ij,fjk->fk", vec.conj(), rho, vec).real, 0.0, 1.0)
+        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+        idx = np.minimum((cdf <= u[:, None]).sum(axis=1), d - 1)
+        diag = np.pad(np.einsum("fik,ij,fjk->fk", vec.conj(), a, vec).real, [(0, 0), (1, 1)])
+        kernels = d * (diag[:, 1:-1] - 0.5 * diag[:, 2:] - 0.5 * diag[:, :-2])
+        means.append(kernels[np.arange(nb), idx].mean())
+    return np.array(means)
+
+
+def _pure_and_mixed(system, rng):
+    return {
+        "pure": coherent_state(system, 0.8 - 0.4j).amplitudes,
+        "mixed": random_density(system.dim, rng),
+    }
+
+
+class TestContinuousEulerRoute:
+    @pytest.mark.parametrize("two_s", [1, 2, 7, 15])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_block_means_match_eigh_reference(self, two_s, kind, rng):
+        sys_ = make_spin_system(two_s)
+        a = random_hermitian(sys_.dim, rng)
+        state = _pure_and_mixed(sys_, rng)[kind]
+        n = 4000 if sys_.dim <= 8 else 1000
+        stats = estimate_continuous(a, sys_, state, n, seed=17 + two_s)
+        ref = eigh_reference_block_means(a, sys_, state, n, 20, 17 + two_s)
+        tol = 1e-12 * (1 + np.linalg.norm(a, 2))
+        assert np.abs(np.array(stats.block_means) - ref).max() <= tol
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_chunked_blocks_draw_as_whole_blocks(self, kind, rng, monkeypatch):
+        # a tiny chunk splits every block into many chunks; the draws and the
+        # block means must not change
+        sys_ = make_spin_system(3)
+        a = random_hermitian(4, rng)
+        state = _pure_and_mixed(sys_, rng)[kind]
+        monkeypatch.setattr(estimator, "_CHUNK_VALUES", 40)
+        stats = estimate_continuous(a, sys_, state, 2003, seed=5)
+        ref = eigh_reference_block_means(a, sys_, state, 2003, 20, 5)
+        assert np.abs(np.array(stats.block_means) - ref).max() <= 1e-12 * (1 + np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("two_s", [1, 2, 7, 15])
+    def test_born_probabilities_match_eigh(self, two_s, rng):
+        sys_ = make_spin_system(two_s)
+        euler = _EulerRotation(sys_)
+        cos_t = rng.uniform(-1.0, 1.0, size=50)
+        phi = rng.uniform(0.0, 2 * np.pi, size=50)
+        sin_t = np.sqrt(1.0 - cos_t**2)
+        for state in _pure_and_mixed(sys_, rng).values():
+            psi, rho = (state, None) if state.ndim == 1 else (None, state)
+            got = _direction_born(euler, euler.phases(np.arccos(cos_t), phi),
+                                  *_state_factors(psi, rho))
+            dm = np.outer(state, state.conj()) if state.ndim == 1 else state
+            for f in range(cos_t.size):
+                h = sys_.spin_along(np.array([sin_t[f] * np.cos(phi[f]),
+                                              sin_t[f] * np.sin(phi[f]), cos_t[f]]))
+                _, v = np.linalg.eigh(h)
+                want = np.einsum("ik,ij,jk->k", v.conj(), dm, v).real
+                assert np.abs(got[f] - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("two_s", [15, 31])
+    def test_exact_value_identity_large_spin(self, two_s, rng):
+        sys_ = make_spin_system(two_s)
+        a = random_hermitian(sys_.dim, rng)
+        for state in _pure_and_mixed(sys_, rng).values():
+            dm = np.outer(state, state.conj()) if state.ndim == 1 else state
+            val = continuous_exact_value(a, sys_, state)
+            assert val == pytest.approx(np.trace(dm @ a).real, abs=1e-10)
+
+    def test_exact_value_dimension_checked(self):
+        sys_ = make_spin_system(2)
+        with pytest.raises(DimensionMismatchError):
+            continuous_exact_value(np.eye(2), sys_, coherent_state(sys_, 0.3))
+
+    def test_peak_memory_independent_of_budget(self, rng):
+        sys_ = make_spin_system(7)
+        rho = random_density(8, rng)
+        a = random_hermitian(8, rng)
+        peaks = []
+        for n in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                estimate_continuous(a, sys_, rho, n, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestWeigertEstimator:

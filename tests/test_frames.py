@@ -176,6 +176,20 @@ class TestReproducingKernel:
         dual = dual_via_gram_inverse(q)
         assert reproducing_kernel_residual(q, dual) <= 1e-10
 
+    def test_overcomplete_gram_schmidt_pair(self, rng):
+        # every fourth element is followed by a combination of the previous
+        # four, which the sweep drops; delta is then not symmetric
+        independent = [random_hermitian(4, rng) for _ in range(16)]
+        elements = []
+        for k, c in enumerate(independent):
+            elements.append(c)
+            if k % 4 == 3:
+                elements.append(sum(rng.uniform(-1, 1) * e for e in independent[k - 3:k + 1]))
+        q = Quorum.from_elements(elements)
+        dual = dual_via_gram_schmidt(q)
+        assert sum(dual.kept_mask) == 16
+        assert reproducing_kernel_residual(q, dual) <= 1e-10
+
 
 class TestSpanningDefinitions:
     def test_pauli_all_pass(self):

@@ -226,13 +226,18 @@ class TestWeigert:
 
 class TestGroupOrthogonality:
     def test_haar_volume(self):
-        # 8 psi nodes leave ~3e-9 quadrature error; 64 are converged
+        # the trapezoid rule in psi integrates sin^2(psi/2) exactly
         assert haar_volume((8, 8, 8)) == pytest.approx(4 * np.pi**2, rel=1e-8)
         assert haar_volume((32, 32, 64)) == pytest.approx(4 * np.pi**2, rel=1e-14)
 
     def test_residual_spin_half(self):
         sys_ = make_spin_system(1)
         assert su2_orthogonality_residual(sys_, (16, 16, 16)) <= 1e-8
+
+    def test_residual_coarse_grid_exact(self):
+        # integer psi frequencies up to 2s + 1 = 2 are exact on 8 trapezoid nodes
+        sys_ = make_spin_system(1)
+        assert su2_orthogonality_residual(sys_, (8, 8, 8)) <= 1e-12
 
     def test_residual_shrinks_under_doubling(self):
         # the rule is spectrally accurate, so past convergence the residual
