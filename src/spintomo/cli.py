@@ -3,8 +3,7 @@
 Subcommands: ``quorum check``, ``quorum dual``, ``simulate``, ``fig1``.
 Exit codes: 0 success / complete, 1 domain negative result (incomplete
 quorum, singular Gram matrix, non-real dual coefficient), 2 usage or parse
-error.  All file outputs are byte-stable for identical inputs, seeds and
-thread declarations.
+error.  All file outputs are byte-stable for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -193,7 +192,6 @@ def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
 @click.option("--n-blocks", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--checkpoints", default=None, help="Comma-separated budgets for a convergence series.")
-@click.option("--threads", type=int, default=None, help="Declared worker count (recorded in output).")
 @click.option("--directions", "directions_path", type=click.Path(),
               help="Directions JSON for the Weigert quorum.")
 @click.option("--weigert-seed", type=int, default=None,
@@ -201,7 +199,7 @@ def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
 @click.option("--out", type=click.Path(), help="Write the result JSON here (default stdout).")
 @click.option("--csv", "csv_path", type=click.Path(), help="Write the checkpoint series CSV here.")
 def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_blocks,
-             seed, checkpoints, threads, directions_path, weigert_seed, out, csv_path):
+             seed, checkpoints, directions_path, weigert_seed, out, csv_path):
     """Run one configured Monte Carlo reconstruction."""
     file_cfg = {}
     if config_path:
@@ -225,7 +223,6 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
         seed=_resolve_seed(seed, file_cfg.get("seed")),
         checkpoints=_parse_checkpoints(checkpoints)
         or tuple(int(c) for c in file_cfg.get("checkpoints", ())),
-        threads=int(pick(threads, "threads", 1)),
         directions_file=directions_path or file_cfg.get("directions_file"),
         weigert_seed=weigert_seed if weigert_seed is not None else file_cfg.get("weigert_seed"),
     )
@@ -255,7 +252,7 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
     except ValueError as err:
         _fail_parse(str(err))
 
-    doc = serialize.run_stats_to_json_dict(stats, threads=cfg.threads)
+    doc = serialize.run_stats_to_json_dict(stats)
     doc["exact"] = float(exact)
     rendered = serialize.dumps(doc)
     if out:
@@ -274,11 +271,9 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
 @click.option("--n-blocks", default=20, show_default=True, type=int)
 @click.option("--checkpoints", "n_checkpoints", default=20, show_default=True, type=int,
               help="Number of log-spaced sample budgets.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Declared worker count (recorded for reproducibility).")
 @click.option("--out-means", default="fig1_means.csv", show_default=True, type=click.Path())
 @click.option("--out-errors", default="fig1_errors.csv", show_default=True, type=click.Path())
-def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, threads, out_means, out_errors):
+def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, out_means, out_errors):
     """Continuous-vs-discrete comparison on a coherent spin-1/2 state.
 
     Writes two plot-ready CSV series: the reconstruction means with error
@@ -304,7 +299,7 @@ def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, threads, out_means, out_er
         ["n_samples", "err_cont", "err_disc"],
         [(n, ec, ed) for (n, _mc, ec, _md, ed, _e) in rows],
     )
-    click.echo(f"wrote {out_means} and {out_errors} (seed {seed_val}, threads {threads})", err=True)
+    click.echo(f"wrote {out_means} and {out_errors} (seed {seed_val})", err=True)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ import numpy as np
 from .frames import DualFrame, Quorum
 from .liouville import (
     DimensionMismatchError,
+    _frozen,
     eig_hermitian,
     hermitian_parts,
     is_hermitian,
@@ -43,12 +44,6 @@ def _dual_coefficient(b: np.ndarray, a: np.ndarray, what: str) -> float:
     if abs(coeff.imag) > 1e-8 * (1.0 + abs(coeff)):
         raise DualCoefficientError(f"non-real dual coefficient for {what}: {coeff}")
     return coeff.real
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -137,6 +132,14 @@ def state_expectation(state, a: np.ndarray) -> complex:
     return complex(np.trace(rho @ a))
 
 
+def _born_rows(state, eigvecs: list[np.ndarray]) -> np.ndarray:
+    """Unclipped Born rows p[k, m] = <v_km|rho|v_km>; validates the state once."""
+    psi, rho = _state_arrays(state, eigvecs[0].shape[0])
+    if psi is not None:
+        return np.stack([np.abs(v.conj().T @ psi) ** 2 for v in eigvecs])
+    return np.stack([np.einsum("ik,ij,jk->k", v.conj(), rho, v).real for v in eigvecs])
+
+
 def born_distribution(state, setting: MeasurementSetting) -> OutcomeDistribution:
     """Outcome probabilities p_m = <v_m|rho|v_m> over the setting's eigenvectors.
 
@@ -144,12 +147,7 @@ def born_distribution(state, setting: MeasurementSetting) -> OutcomeDistribution
     eigenvalue happens automatically wherever outcomes enter only through
     their eigenvalue.
     """
-    v = setting.eigenvectors
-    psi, rho = _state_arrays(state, v.shape[0])
-    if psi is not None:
-        p = np.abs(v.conj().T @ psi) ** 2
-    else:
-        p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+    p = _born_rows(state, [setting.eigenvectors])[0]
     if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise ValueError(f"Born probabilities outside [0, 1]: range [{p.min()}, {p.max()}]")
     p = np.clip(p, 0.0, 1.0)
@@ -168,11 +166,8 @@ def sample_outcomes(
     if count < 1:
         raise ValueError("count must be >= 1")
     p = dist.probabilities / dist.probabilities.sum()
-    cdf = np.cumsum(p)
     rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, p.size - 1)
+    idx = _draw_outcomes(np.cumsum(p), rng.random(count))
     return [Sample(setting_index=setting_index, outcome_index=int(i)) for i in idx]
 
 
@@ -223,7 +218,53 @@ def _stats_from_blocks(
 
 
 # ---------------------------------------------------------------------------
+# quota engine of the discrete and Weigert quorums.  A table (eigvecs, values,
+# constant) measures setting k in the basis eigvecs[k], where outcome m adds
+# values[k, m]; constant is the exact share of settings that need no samples.
+
+def _outcome_cdfs(state, eigvecs: list[np.ndarray]) -> np.ndarray:
+    probs = np.clip(_born_rows(state, eigvecs), 0.0, 1.0)
+    return np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+
+
+def _draw_outcomes(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(cdf_row, u, side="right")
+    return np.minimum(idx, cdf_row.size - 1)
+
+
+def _quota_block_means(tables, state, per_setting: int, n_blocks: int, seed: int):
+    """Block means and sizes with ``per_setting`` shots for every setting.
+
+    Block bi of setting j draws from ``default_rng([seed, bi, j])``.
+    """
+    eigvecs, values, constant = tables
+    cdfs = _outcome_cdfs(state, eigvecs)
+    sizes = _block_sizes(per_setting, n_blocks)
+    block_means = np.zeros(n_blocks)
+    for bi, nb in enumerate(sizes):
+        acc = constant
+        for j in range(len(eigvecs)):
+            rng = np.random.default_rng([seed, bi, j])
+            idx = _draw_outcomes(cdfs[j], rng.random(nb))
+            acc += float(values[j, idx].mean())
+        block_means[bi] = acc
+    return block_means, sizes
+
+
+def _exact_contraction(tables, state) -> float:
+    """constant + sum_{k,m} p[k, m] values[k, m] with exact Born probabilities."""
+    eigvecs, values, constant = tables
+    if not eigvecs:
+        return constant
+    return constant + float(np.sum(np.clip(_born_rows(state, eigvecs), 0.0, 1.0) * values))
+
+
+# ---------------------------------------------------------------------------
 # discrete quorums (generic Hermitian observables with a dual frame)
+
+def _is_sampled(w: np.ndarray) -> bool:
+    return bool(w.max() - w.min() > 1e-12 * (1.0 + np.abs(w).max()))
+
 
 def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame):
     """Per-setting eigensystems and outcome-value tables.
@@ -239,35 +280,19 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame):
         raise DimensionMismatchError(f"quorum dim {quorum.dim} != operator dim {a.shape[0]}")
     if dual.dim != quorum.dim or len(dual) != len(quorum):
         raise DimensionMismatchError("dual frame does not align with the quorum")
-    active: list[tuple[np.ndarray, np.ndarray]] = []  # (eigenvectors, values)
+    eigvecs: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     constant = 0.0
     for c, b, label in zip(quorum.elements, dual.elements, quorum.labels):
         require_hermitian(c, f"quorum element {label!r}")
         w, v = eig_hermitian(c)
-        values = w * _dual_coefficient(b, a, f"setting {label!r}")
-        spread = w.max() - w.min()
-        if spread <= 1e-12 * (1.0 + np.abs(w).max()):
-            constant += float(values.mean())
+        outcome_values = w * _dual_coefficient(b, a, f"setting {label!r}")
+        if _is_sampled(w):
+            eigvecs.append(v)
+            values.append(outcome_values)
         else:
-            active.append((v, values))
-    return active, constant
-
-
-def _born_rows(state, eigvec_list: list[np.ndarray]) -> np.ndarray:
-    rows = []
-    for v in eigvec_list:
-        psi, rho = _state_arrays(state, v.shape[0])
-        if psi is not None:
-            p = np.abs(v.conj().T @ psi) ** 2
-        else:
-            p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
-        rows.append(np.clip(p, 0.0, 1.0))
-    return np.stack(rows)
-
-
-def _draw_outcomes(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf_row, u, side="right")
-    return np.minimum(idx, cdf_row.size - 1)
+            constant += float(outcome_values.mean())
+    return eigvecs, np.reshape(values, (len(eigvecs), quorum.dim)), constant
 
 
 def estimate_discrete(
@@ -295,8 +320,9 @@ def estimate_discrete(
         raise ValueError(f"unknown selection convention {selection!r}")
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
-    active, constant = _discrete_tables(a, quorum, dual)
-    if not active:
+    tables = _discrete_tables(a, quorum, dual)
+    eigvecs, values, constant = tables
+    if not eigvecs:
         block_means = np.full(n_blocks, constant)
         return _stats_from_blocks(
             block_means, np.ones(n_blocks, dtype=int), 0, "discrete", seed,
@@ -306,26 +332,18 @@ def estimate_discrete(
         raise ValueError(
             f"samples_per_setting = {samples_per_setting} cannot fill {n_blocks} blocks"
         )
-    probs = _born_rows(state, [v for v, _ in active])
-    cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-    values = np.stack([val for _, val in active])
-    n_active = len(active)
+    n_active = len(eigvecs)
 
     if selection == "quota":
-        sizes = _block_sizes(samples_per_setting, n_blocks)
-        block_means = np.zeros(n_blocks)
-        for bi, nb in enumerate(sizes):
-            acc = constant
-            for j in range(n_active):
-                rng = np.random.default_rng([seed, bi, j])
-                idx = _draw_outcomes(cdfs[j], rng.random(nb))
-                acc += float(values[j, idx].mean())
-            block_means[bi] = acc
+        block_means, sizes = _quota_block_means(
+            tables, state, samples_per_setting, n_blocks, seed
+        )
         return _stats_from_blocks(
             block_means, sizes, samples_per_setting * n_active,
             "discrete", seed, "per_setting_quota",
         )
 
+    cdfs = _outcome_cdfs(state, eigvecs)
     total = samples_per_setting * n_active
     sizes = _block_sizes(total, n_blocks)
     block_means = np.zeros(n_blocks)
@@ -344,12 +362,7 @@ def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) 
     Equals Tr[rho a] identically whenever (quorum, dual) is a spanning
     pair, which is the content of the reconstruction identity.
     """
-    active, constant = _discrete_tables(a, quorum, dual)
-    if not active:
-        return constant
-    probs = _born_rows(state, [v for v, _ in active])
-    values = np.stack([val for _, val in active])
-    return constant + float(np.sum(probs * values))
+    return _exact_contraction(_discrete_tables(a, quorum, dual), state)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +574,7 @@ def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, scale_by_spin: bool):
         # Only the maximal outcome m = s carries weight: the estimator is
         # sum_k p(s, n_k) Tr[a Q^k].
         values[k, d - 1] = factor * _dual_coefficient(b, a, f"direction {k}")
-    return eigvecs, values
+    return eigvecs, values, 0.0
 
 
 def estimate_weigert(
@@ -588,18 +601,9 @@ def estimate_weigert(
         raise ValueError(
             f"samples_per_direction = {samples_per_direction} cannot fill {n_blocks} blocks"
         )
-    eigvecs, values = _weigert_tables(a, wq, scale_by_spin)
-    probs = _born_rows(state, eigvecs)
-    cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-    sizes = _block_sizes(samples_per_direction, n_blocks)
-    block_means = np.zeros(n_blocks)
-    for bi, nb in enumerate(sizes):
-        acc = 0.0
-        for k in range(len(wq)):
-            rng = np.random.default_rng([seed, bi, k])
-            idx = _draw_outcomes(cdfs[k], rng.random(nb))
-            acc += float(values[k, idx].mean())
-        block_means[bi] = acc
+    block_means, sizes = _quota_block_means(
+        _weigert_tables(a, wq, scale_by_spin), state, samples_per_direction, n_blocks, seed
+    )
     return _stats_from_blocks(
         block_means, sizes, samples_per_direction * len(wq),
         "weigert", seed, "per_direction_quota",
@@ -610,9 +614,7 @@ def weigert_exact_value(
     a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool = False
 ) -> float:
     """Weigert estimator with exact Born probabilities; Tr[rho a] when unscaled."""
-    eigvecs, values = _weigert_tables(a, wq, scale_by_spin)
-    probs = _born_rows(state, eigvecs)
-    return float(np.sum(probs * values))
+    return _exact_contraction(_weigert_tables(a, wq, scale_by_spin), state)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import (
+    _is_sampled,
     estimate_continuous,
     estimate_discrete,
     estimate_weigert,
     state_expectation,
 )
-from .frames import Quorum
 from .liouville import require_hermitian
 from .spin import (
     SpinState,
@@ -47,7 +47,6 @@ class ExperimentConfig:
     n_blocks: int = 20
     seed: int = DEFAULT_SEED
     checkpoints: tuple[int, ...] = field(default_factory=tuple)
-    threads: int = 1
     directions_file: str | None = None
     weigert_seed: int | None = None
 
@@ -91,15 +90,6 @@ def resolve_target(cfg: ExperimentConfig, system: SpinSystem, load_matrix=None) 
     raise ValueError(f"unknown target spec {cfg.target!r}; use sx, sy, sz or file:PATH")
 
 
-def _discrete_active_count(quorum: Quorum) -> int:
-    count = 0
-    for c in quorum.elements:
-        w = np.linalg.eigvalsh(c)
-        if w.max() - w.min() > 1e-12 * (1.0 + np.abs(w).max()):
-            count += 1
-    return count
-
-
 def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target, directions=None):
     """Return run(n_samples, seed) -> RunStats for the configured quorum.
 
@@ -110,7 +100,7 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target, direc
         if cfg.spin_two_s != 1:
             raise ValueError("the Pauli quorum requires spin_two_s = 1")
         quorum, dual = pauli_quorum()
-        n_active = _discrete_active_count(quorum)
+        n_active = sum(_is_sampled(np.linalg.eigvalsh(c)) for c in quorum.elements)
 
         def run(n: int, seed: int):
             per_setting = n // n_active
@@ -190,7 +180,7 @@ def fig1_series(
     target = system.sz
     exact = float(state_expectation(state, target).real)
     quorum, dual = pauli_quorum()
-    n_active = _discrete_active_count(quorum)
+    n_active = sum(_is_sampled(np.linalg.eigvalsh(c)) for c in quorum.elements)
 
     rows = []
     for i, n in enumerate(log_checkpoints(n_max, n_checkpoints)):

@@ -5,7 +5,9 @@ space of d x d matrices.  Its dual frame B_n satisfies Tr[B_n^dag C_m] =
 delta_nm for linearly independent quorums and, for complete quorums, the
 resolution of identity sum_n |C_n>(B_n| = 1 on operator space.  Two dual
 constructions are provided: a Gram-Schmidt sweep that tolerates linearly
-dependent elements by dropping them, and direct Gram-matrix inversion.
+dependent elements by dropping them, and the Gram-matrix dual C G^-1, taken
+from the singular value decomposition of the coefficient matrix C so that
+its error grows with cond(C), not with cond(G) = cond(C)^2.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .liouville import (
     DimensionMismatchError,
+    _frozen,
     as_operator,
     hs_norm,
     random_operator,
@@ -58,12 +61,6 @@ class SingularGramError(ValueError):
             message = f"{message}: {detail}"
         super().__init__(message)
         self.condition = condition
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -169,6 +166,13 @@ def _canonical_phase(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _svd(q: Quorum) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full SVD u, sigma, vh of the coefficient matrix, and its rank."""
+    u, sigma, vh = np.linalg.svd(q.coefficient_matrix(), full_matrices=True)
+    # sigma is never empty; an all-zero quorum gets rank 0 from the strict ">".
+    return u, sigma, vh, int(np.sum(sigma > RANK_RTOL * sigma[0]))
+
+
 def completeness_check(q: Quorum) -> SpanningReport:
     """Rank test of the quorum via singular values.
 
@@ -177,13 +181,8 @@ def completeness_check(q: Quorum) -> SpanningReport:
     When incomplete, a unit-norm operator orthogonal to every element is
     returned as the defect witness.
     """
-    mat = q.coefficient_matrix()
     d2 = q.dim * q.dim
-    u, sigma, vh = np.linalg.svd(mat, full_matrices=True)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > RANK_RTOL * sigma[0]))
+    _, _, vh, rank = _svd(q)
     complete = rank == d2
     witness = None
     if not complete:
@@ -277,22 +276,32 @@ def gram_matrix(q: Quorum) -> np.ndarray:
     return np.conj(mat) @ mat.T
 
 
+def _gram_dual(q: Quorum, condition_cap: float) -> tuple[DualFrame, float]:
+    """Gram dual B = C G^-1 = (C^+)^H and cond(G), both from one SVD of C.
+
+    With rows vec(C_n) = (U S V^H)_n, the rows vec(B_n) are (U S^-1 V^H)_n
+    and cond(G) = (sigma_max / sigma_min)^2; cond(G) >= ``condition_cap``
+    raises ``SingularGramError``, so does N > d^2 (G is then singular).
+    """
+    u, sigma, vh, _ = _svd(q)
+    n = len(q)
+    singular = n > sigma.size or sigma[-1] == 0.0
+    condition = float("inf") if singular else float((sigma[0] / sigma[-1]) ** 2)
+    if not np.isfinite(condition) or condition >= condition_cap:
+        raise SingularGramError(condition)
+    b_rows = (u / sigma) @ vh[:n]
+    elements = [b.reshape(q.dim, q.dim) for b in b_rows]
+    return DualFrame.from_elements(elements, (True,) * n), condition
+
+
 def dual_via_gram_inverse(q: Quorum) -> DualFrame:
-    """Dual frame B_n = sum_m (G^-1)_mn C_m from the inverse Gram matrix.
+    """Dual frame B_n = sum_m (G^-1)_mn C_m of the Gram matrix G.
 
     The index convention makes Tr[B_n^dag C_m] = delta_nm hold exactly.
     Requires linearly independent elements; an ill-conditioned Gram matrix
     (condition number >= 1e12) raises ``SingularGramError``.
     """
-    g = gram_matrix(q)
-    condition = float(np.linalg.cond(g))
-    if not np.isfinite(condition) or condition >= GRAM_CONDITION_CAP:
-        raise SingularGramError(condition)
-    c = q.coefficient_matrix().T  # d^2 x N, columns vec(C_n)
-    # B = C G^-1; G is Hermitian so solve against C^H and conjugate back.
-    b_mat = np.linalg.solve(g, c.conj().T).conj().T
-    elements = [b_mat[:, i].reshape(q.dim, q.dim) for i in range(len(q))]
-    return DualFrame.from_elements(elements, (True,) * len(q))
+    return _gram_dual(q, GRAM_CONDITION_CAP)[0]
 
 
 def reproducing_kernel_residual(q: Quorum, dual: DualFrame) -> float:

@@ -57,6 +57,13 @@ def as_operator(entries, hermitian_hint: bool | None = None) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``a`` with its dtype kept."""
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise DimensionMismatchError(

@@ -81,8 +81,8 @@ def directions_from_json_list(doc) -> list[Direction]:
     return [Direction(float(item["theta"]), float(item["phi"])) for item in doc]
 
 
-def run_stats_to_json_dict(stats: RunStats, threads: int | None = None) -> dict:
-    doc = {
+def run_stats_to_json_dict(stats: RunStats) -> dict:
+    return {
         "estimator": stats.estimator,
         "n_samples": stats.n_samples,
         "n_blocks": stats.n_blocks,
@@ -92,9 +92,6 @@ def run_stats_to_json_dict(stats: RunStats, threads: int | None = None) -> dict:
         "seed": stats.seed,
         "convention": stats.convention,
     }
-    if threads is not None:
-        doc["threads"] = int(threads)
-    return doc
 
 
 def dumps(doc) -> str:

@@ -15,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DualFrame, Quorum, SingularGramError, dual_via_gram_inverse, gram_matrix
-from .liouville import as_operator, eig_hermitian, op_exp
+from .frames import DualFrame, Quorum, SingularGramError, _gram_dual
+from .liouville import _frozen, eig_hermitian, op_exp
 
 # "Almost any" direction choice gives a complete Weigert set; in practice
 # we accept it when the Gram matrix is this well conditioned.
 WEIGERT_CONDITION_CAP = 1e10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -254,9 +248,9 @@ def max_spin_projector(system: SpinSystem, n: Direction) -> np.ndarray:
 def weigert_quorum(system: SpinSystem, directions: list[Direction]) -> WeigertQuorum:
     """Build the (2s+1)^2 projector quorum and its dual for given directions.
 
-    Directions must be pairwise distinct; the dual comes from Gram-matrix
-    inversion and the Gram condition number is recorded.  Degenerate
-    direction choices (condition >= 1e10) are refused.
+    Directions must be pairwise distinct; the dual is the Gram-matrix dual
+    and the Gram condition number is recorded.  Degenerate direction
+    choices (condition >= 1e10) are refused.
     """
     n_required = system.dim * system.dim
     if len(directions) != n_required:
@@ -272,10 +266,7 @@ def weigert_quorum(system: SpinSystem, directions: list[Direction]) -> WeigertQu
     projectors = [max_spin_projector(system, n) for n in directions]
     labels = [f"n_{k}({d.theta:.12g},{d.phi:.12g})" for k, d in enumerate(directions)]
     quorum = Quorum.from_elements(projectors, labels)
-    condition = float(np.linalg.cond(gram_matrix(quorum)))
-    if not np.isfinite(condition) or condition >= WEIGERT_CONDITION_CAP:
-        raise SingularGramError(condition)
-    dual = dual_via_gram_inverse(quorum)
+    dual, condition = _gram_dual(quorum, WEIGERT_CONDITION_CAP)
     return WeigertQuorum(
         system=system,
         directions=tuple(directions),

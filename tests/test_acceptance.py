@@ -237,7 +237,7 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
             cli_main,
             [
                 "simulate", "--quorum", "continuous", "--n-samples", "20000",
-                "--seed", "42", "--threads", "1", "--checkpoints", "1000,20000",
+                "--seed", "42", "--checkpoints", "1000,20000",
                 "--out", str(out), "--csv", str(tmp_path / f"sim_{tag}.csv"),
             ],
         )
@@ -256,7 +256,7 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
             cli_main,
             [
                 "fig1", "--alpha", "2", "--n-max", "20000", "--seed", "42",
-                "--threads", "1", "--out-means", str(means), "--out-errors", str(errors),
+                "--out-means", str(means), "--out-errors", str(errors),
             ],
         )
         if result.exit_code != 0:

@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spintomo import random_hermitian, serialize, verify_spanning_definitions
+from spintomo import (
+    DualCoefficientError,
+    estimator,
+    random_hermitian,
+    serialize,
+    verify_spanning_definitions,
+    weigert_exact_value,
+)
 from spintomo.cli import main
-from spintomo.spin import make_spin_system, max_spin_projector, pauli_quorum, tetrahedral_directions
+from spintomo.spin import (
+    coherent_state,
+    make_spin_system,
+    max_spin_projector,
+    pauli_quorum,
+    random_directions,
+    tetrahedral_directions,
+    weigert_quorum,
+)
 from spintomo.frames import Quorum
 
 from conftest import SX, SY, SZ
@@ -115,7 +130,6 @@ class TestSimulate:
         assert doc["estimator"] == "discrete"
         assert doc["n_blocks"] == 20
         assert doc["seed"] == 42
-        assert doc["threads"] == 1
         assert abs(doc["mean"] - doc["exact"]) <= 4 * doc["error_bar"]
         assert doc["exact"] == pytest.approx(-np.cos(4) / 2)
 
@@ -166,21 +180,46 @@ class TestSimulate:
         assert doc["n_samples"] == 8000
         assert abs(doc["mean"] - doc["exact"]) <= 4 * doc["error_bar"]
 
-    def test_weigert_inaccurate_dual_domain_error(self, runner, tmp_path):
-        # at d = 8 these random directions give cond(G) ~ 2e9; the Gram dual
-        # then leaves imaginary parts in Tr[B^dag A] that the estimator refuses
+    WEIGERT_D8_ARGS = [
+        "simulate", "--quorum", "weigert", "--spin-two-s", "7", "--weigert-seed", "2",
+        "--n-samples", "6400", "--state", "coherent:1",
+    ]
+
+    def test_weigert_inaccurate_dual_domain_error(self, runner, monkeypatch):
+        def refuse(b, a, what):
+            raise DualCoefficientError(f"non-real dual coefficient for {what}: (1+1j)")
+
+        monkeypatch.setattr(estimator, "_dual_coefficient", refuse)
+        result = runner.invoke(main, self.WEIGERT_D8_ARGS)
+        assert result.exit_code == 1
+        assert "non-real dual coefficient for direction 0" in result.output
+
+    def test_weigert_ill_conditioned_d8_reconstructs(self, runner, tmp_path):
+        # cond(G) ~ 2e9 for these directions: a dual whose error grows with
+        # cond(G) leaves |Im Tr[B^dag A]| above the refusal threshold here
         a = tmp_path / "a.json"
         target = random_hermitian(8, np.random.default_rng(1))
         a.write_text(serialize.dumps(serialize.op_to_json_dict(target)))
+        out = tmp_path / "run.json"
         result = runner.invoke(
-            main,
-            [
-                "simulate", "--quorum", "weigert", "--spin-two-s", "7", "--weigert-seed", "2",
-                "--target", f"file:{a}", "--n-samples", "6400", "--state", "coherent:1",
-            ],
+            main, self.WEIGERT_D8_ARGS + ["--target", f"file:{a}", "--out", str(out)]
         )
-        assert result.exit_code == 1
-        assert "non-real dual coefficient" in result.output
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert abs(doc["mean"] - doc["exact"]) <= 4 * doc["error_bar"]
+        system = make_spin_system(7)
+        wq = weigert_quorum(system, random_directions(64, 2))
+        exact = weigert_exact_value(target, wq, coherent_state(system, 1))
+        assert exact == pytest.approx(doc["exact"], abs=1e-10)
+
+    def test_config_with_legacy_threads_key(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_samples": 6000, "seed": 42, "threads": 4}))
+        out = tmp_path / "run.json"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert doc["seed"] == 42 and "threads" not in doc
 
     def test_continuous_with_checkpoints_csv(self, runner, tmp_path):
         out = tmp_path / "run.json"

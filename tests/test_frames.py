@@ -138,10 +138,26 @@ class TestDualConstruction:
         q = Quorum.from_elements([SZ, 2 * SZ, SX])
         with pytest.raises(SingularGramError):
             dual_via_gram_inverse(q)
+        overcomplete = Quorum.from_elements([SX, SY, SZ, EYE2, SX + SY])
+        with pytest.raises(SingularGramError):
+            dual_via_gram_inverse(overcomplete)
 
     @given(st.integers(0, 500), st.sampled_from([2, 3]))
     @settings(max_examples=25, deadline=None)
     def test_dual_route_agreement(self, seed, dim):
+        q = random_quorum(dim, dim * dim, seed)
+        dual_gs = dual_via_gram_schmidt(q)
+        dual_gram = dual_via_gram_inverse(q)
+        assert max(
+            hs_norm(a - b) for a, b in zip(dual_gs.elements, dual_gram.elements)
+        ) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "seed, dim", [(27, 2), (202, 2), (220, 2), (83, 3), (218, 3), (291, 3)]
+    )
+    def test_dual_route_agreement_ill_conditioned(self, seed, dim):
+        # cond(C) from 1.1e3 to 2.7e4: a Gram dual whose error grows with
+        # cond(C)^2 misses the 1e-8 bound on each of these
         q = random_quorum(dim, dim * dim, seed)
         dual_gs = dual_via_gram_schmidt(q)
         dual_gram = dual_via_gram_inverse(q)
