@@ -10,7 +10,11 @@ stream into contiguous blocks.
 Three quorums are supported: a generic discrete quorum of Hermitian
 observables with its dual frame, the continuous spin-direction quorum
 (one random direction per sample, with the direction integral reduced to
-a closed-form outcome kernel), and the Weigert projector quorum.
+a closed-form outcome kernel), and the Weigert projector quorum.  The
+discrete and Weigert estimators see a block only through the count of each
+(setting, outcome) pair, which is multinomial with the Born probabilities,
+so they draw those counts directly and their cost does not grow with the
+sample budget.
 """
 
 from __future__ import annotations
@@ -156,6 +160,11 @@ def born_distribution(state, setting: MeasurementSetting) -> OutcomeDistribution
     return OutcomeDistribution(setting=setting, probabilities=_frozen(p))
 
 
+def _draw_outcomes(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(cdf_row, u, side="right")
+    return np.minimum(idx, cdf_row.size - 1)
+
+
 def sample_outcomes(
     dist: OutcomeDistribution,
     count: int,
@@ -218,45 +227,33 @@ def _stats_from_blocks(
 
 
 # ---------------------------------------------------------------------------
-# quota engine of the discrete and Weigert quorums.  A table (eigvecs, values,
-# constant) measures setting k in the basis eigvecs[k], where outcome m adds
-# values[k, m]; constant is the exact share of settings that need no samples.
+# count engine of the discrete and Weigert quorums.  A table (probs, values,
+# constant) measures setting k with the clipped, normalised Born row
+# probs[k], where outcome m adds values[k, m]; constant is the exact share of
+# settings that need no samples.
 
-def _outcome_cdfs(state, eigvecs: list[np.ndarray]) -> np.ndarray:
-    probs = np.clip(_born_rows(state, eigvecs), 0.0, 1.0)
-    return np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+def _block_counts(probs: np.ndarray, sizes: np.ndarray, seed: int):
+    """Outcome counts of each block: ``nb`` shots of every setting per block.
 
-
-def _draw_outcomes(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf_row, u, side="right")
-    return np.minimum(idx, cdf_row.size - 1)
-
-
-def _quota_block_means(tables, state, per_setting: int, n_blocks: int, seed: int):
-    """Block means and sizes with ``per_setting`` shots for every setting.
-
-    Block bi of setting j draws from ``default_rng([seed, bi, j])``.
+    Block bi draws all its counts at once from ``default_rng([seed, bi])``.
     """
-    eigvecs, values, constant = tables
-    cdfs = _outcome_cdfs(state, eigvecs)
-    sizes = _block_sizes(per_setting, n_blocks)
-    block_means = np.zeros(n_blocks)
     for bi, nb in enumerate(sizes):
-        acc = constant
-        for j in range(len(eigvecs)):
-            rng = np.random.default_rng([seed, bi, j])
-            idx = _draw_outcomes(cdfs[j], rng.random(nb))
-            acc += float(values[j, idx].mean())
-        block_means[bi] = acc
-    return block_means, sizes
+        yield np.random.default_rng([seed, bi]).multinomial(nb, probs)
 
 
-def _exact_contraction(tables, state) -> float:
+def _count_block_means(tables, per_setting: int, n_blocks: int, seed: int):
+    """Block means and sizes with ``per_setting`` shots for every setting."""
+    probs, values, constant = tables
+    sizes = _block_sizes(per_setting, n_blocks)
+    counts = _block_counts(probs, sizes, seed)
+    means = [constant + float(np.sum(c * values)) / nb for nb, c in zip(sizes, counts)]
+    return np.array(means), sizes
+
+
+def _exact_contraction(tables) -> float:
     """constant + sum_{k,m} p[k, m] values[k, m] with exact Born probabilities."""
-    eigvecs, values, constant = tables
-    if not eigvecs:
-        return constant
-    return constant + float(np.sum(np.clip(_born_rows(state, eigvecs), 0.0, 1.0) * values))
+    probs, values, constant = tables
+    return constant + float(np.sum(probs * values))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +263,8 @@ def _is_sampled(w: np.ndarray) -> bool:
     return bool(w.max() - w.min() > 1e-12 * (1.0 + np.abs(w).max()))
 
 
-def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame):
-    """Per-setting eigensystems and outcome-value tables.
+def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
+    """Per-setting clipped, normalised Born rows and outcome-value tables.
 
     A sample of setting x with outcome index m contributes
     eigenvalue_m * Tr[B_x^dag a].  Settings whose observable has a single
@@ -292,7 +289,11 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame):
             values.append(outcome_values)
         else:
             constant += float(outcome_values.mean())
-    return eigvecs, np.reshape(values, (len(eigvecs), quorum.dim)), constant
+    values = np.reshape(values, (len(eigvecs), quorum.dim))
+    if not eigvecs:
+        return np.zeros_like(values), values, constant
+    rows = np.clip(_born_rows(state, eigvecs), 0.0, 1.0)
+    return rows / rows.sum(axis=1, keepdims=True), values, constant
 
 
 def estimate_discrete(
@@ -313,47 +314,36 @@ def estimate_discrete(
     and sum across settings.  With ``selection="uniform"`` the same total
     budget is spent on uniformly random settings and each contribution is
     scaled by the number of sampled settings.  Both are unbiased; the
-    variance differs.  Blocks draw from generators seeded per
-    (seed, block), so results do not depend on worker scheduling.
+    variance differs.  A block's mean depends on its shots only through the
+    count of each (setting, outcome) pair, so each block makes one
+    multinomial draw of those counts from a generator seeded per
+    (seed, block): time and memory do not grow with the budget, and results
+    do not depend on worker scheduling.
     """
     if selection not in ("quota", "uniform"):
         raise ValueError(f"unknown selection convention {selection!r}")
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
-    tables = _discrete_tables(a, quorum, dual)
-    eigvecs, values, constant = tables
-    if not eigvecs:
+    convention = "per_setting_quota" if selection == "quota" else "uniform_setting"
+    probs, values, constant = _discrete_tables(a, quorum, dual, state)
+    n_active = probs.shape[0]
+    if not n_active:
         block_means = np.full(n_blocks, constant)
         return _stats_from_blocks(
-            block_means, np.ones(n_blocks, dtype=int), 0, "discrete", seed,
-            "per_setting_quota" if selection == "quota" else "uniform_setting",
+            block_means, np.ones(n_blocks, dtype=int), 0, "discrete", seed, convention
         )
     if samples_per_setting < n_blocks:
         raise ValueError(
             f"samples_per_setting = {samples_per_setting} cannot fill {n_blocks} blocks"
         )
-    n_active = len(eigvecs)
-
-    if selection == "quota":
-        block_means, sizes = _quota_block_means(
-            tables, state, samples_per_setting, n_blocks, seed
-        )
-        return _stats_from_blocks(
-            block_means, sizes, samples_per_setting * n_active,
-            "discrete", seed, "per_setting_quota",
-        )
-
-    cdfs = _outcome_cdfs(state, eigvecs)
     total = samples_per_setting * n_active
-    sizes = _block_sizes(total, n_blocks)
-    block_means = np.zeros(n_blocks)
-    for bi, nb in enumerate(sizes):
-        rng = np.random.default_rng([seed, bi])
-        x = rng.integers(0, n_active, size=nb)
-        u = rng.random(nb)
-        idx = np.minimum((cdfs[x] <= u[:, None]).sum(axis=1), values.shape[1] - 1)
-        block_means[bi] = constant + float((n_active * values[x, idx]).mean())
-    return _stats_from_blocks(block_means, sizes, total, "discrete", seed, "uniform_setting")
+    if selection == "uniform":
+        # A uniformly drawn setting is one setting whose outcomes are all
+        # (setting, outcome) pairs, each worth n_active times its value.
+        probs, values = probs.reshape(1, -1) / n_active, n_active * values.reshape(1, -1)
+    budget = samples_per_setting if selection == "quota" else total
+    block_means, sizes = _count_block_means((probs, values, constant), budget, n_blocks, seed)
+    return _stats_from_blocks(block_means, sizes, total, "discrete", seed, convention)
 
 
 def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) -> float:
@@ -362,7 +352,7 @@ def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) 
     Equals Tr[rho a] identically whenever (quorum, dual) is a spanning
     pair, which is the content of the reconstruction identity.
     """
-    return _exact_contraction(_discrete_tables(a, quorum, dual), state)
+    return _exact_contraction(_discrete_tables(a, quorum, dual, state))
 
 
 # ---------------------------------------------------------------------------
@@ -557,24 +547,31 @@ def continuous_exact_value(
 # ---------------------------------------------------------------------------
 # Weigert projector quorum
 
-def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, scale_by_spin: bool):
+def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool):
+    """Two-outcome rows [Tr rho P_k, 1 - Tr rho P_k] with values [coef_k, 0].
+
+    Only the maximal outcome m = s of S.n_k carries weight: the estimator is
+    sum_k p(s, n_k) Tr[a Q^k], and p(s, n_k) = Tr[rho P_k] over the quorum's
+    projectors, so no direction is diagonalised.
+    """
     a = np.asarray(a, dtype=complex)
     require_hermitian(a, "target operator")
     if a.shape[0] != wq.system.dim:
         raise DimensionMismatchError(
             f"operator dim {a.shape[0]} != spin dim {wq.system.dim}"
         )
-    d = wq.system.dim
     factor = wq.system.s if scale_by_spin else 1.0
-    eigvecs = []
-    values = np.zeros((len(wq), d))
-    for k, (n, b) in enumerate(zip(wq.directions, wq.dual.elements)):
-        _, v = eig_hermitian(wq.system.spin_along(n))
-        eigvecs.append(v)
-        # Only the maximal outcome m = s carries weight: the estimator is
-        # sum_k p(s, n_k) Tr[a Q^k].
-        values[k, d - 1] = factor * _dual_coefficient(b, a, f"direction {k}")
-    return eigvecs, values, 0.0
+    values = np.zeros((len(wq), 2))
+    for k, b in enumerate(wq.dual.elements):
+        values[k, 0] = factor * _dual_coefficient(b, a, f"direction {k}")
+    psi, rho = _state_arrays(state, wq.system.dim)
+    projectors = np.array(wq.projectors)
+    if psi is not None:
+        top = ((projectors @ psi) @ psi.conj()).real
+    else:
+        top = np.einsum("kij,ji->k", projectors, rho).real
+    top = np.clip(top, 0.0, 1.0)
+    return np.stack([top, 1.0 - top], axis=1), values, 0.0
 
 
 def estimate_weigert(
@@ -601,8 +598,8 @@ def estimate_weigert(
         raise ValueError(
             f"samples_per_direction = {samples_per_direction} cannot fill {n_blocks} blocks"
         )
-    block_means, sizes = _quota_block_means(
-        _weigert_tables(a, wq, scale_by_spin), state, samples_per_direction, n_blocks, seed
+    block_means, sizes = _count_block_means(
+        _weigert_tables(a, wq, state, scale_by_spin), samples_per_direction, n_blocks, seed
     )
     return _stats_from_blocks(
         block_means, sizes, samples_per_direction * len(wq),
@@ -614,7 +611,7 @@ def weigert_exact_value(
     a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool = False
 ) -> float:
     """Weigert estimator with exact Born probabilities; Tr[rho a] when unscaled."""
-    return _exact_contraction(_weigert_tables(a, wq, scale_by_spin), state)
+    return _exact_contraction(_weigert_tables(a, wq, state, scale_by_spin))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def resolve_target(cfg: ExperimentConfig, system: SpinSystem, load_matrix=None) 
     raise ValueError(f"unknown target spec {cfg.target!r}; use sx, sy, sz or file:PATH")
 
 
+def _pauli_pair():
+    """The Pauli quorum, its dual and the number of its sampled settings."""
+    quorum, dual = pauli_quorum()
+    return quorum, dual, sum(_is_sampled(np.linalg.eigvalsh(c)) for c in quorum.elements)
+
+
 def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target, directions=None):
     """Return run(n_samples, seed) -> RunStats for the configured quorum.
 
@@ -99,8 +105,7 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target, direc
     if cfg.quorum == "pauli":
         if cfg.spin_two_s != 1:
             raise ValueError("the Pauli quorum requires spin_two_s = 1")
-        quorum, dual = pauli_quorum()
-        n_active = sum(_is_sampled(np.linalg.eigvalsh(c)) for c in quorum.elements)
+        quorum, dual, n_active = _pauli_pair()
 
         def run(n: int, seed: int):
             per_setting = n // n_active
@@ -179,8 +184,7 @@ def fig1_series(
     state = coherent_state(system, alpha)
     target = system.sz
     exact = float(state_expectation(state, target).real)
-    quorum, dual = pauli_quorum()
-    n_active = sum(_is_sampled(np.linalg.eigvalsh(c)) for c in quorum.elements)
+    quorum, dual, n_active = _pauli_pair()
 
     rows = []
     for i, n in enumerate(log_checkpoints(n_max, n_checkpoints)):

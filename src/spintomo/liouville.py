@@ -123,13 +123,10 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=complex)
     require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        if pivot != 0:
-            v[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return w, v
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # Scalar factors round as a per-column rotation does; an array division does not.
+    factors = [np.conj(p) / abs(p) if p != 0 else 1.0 for p in pivots]
+    return w, v * np.array(factors, dtype=complex)
 
 
 def op_exp(h: np.ndarray, phase: float) -> np.ndarray:

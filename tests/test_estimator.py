@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -445,6 +446,117 @@ class TestWeigertEstimator:
         assert abs(stats.mean + np.cos(4) / 2) <= 4 * stats.error_bar
         assert stats.convention == "per_direction_quota"
 
+
+def _discrete_born_table(a, q, dual, state):
+    """Born rows and outcome values of the sampled settings, built independently."""
+    rows, values = [], []
+    for c, b in zip(q.elements, dual.elements):
+        setting = measurement_setting(c)
+        w = setting.eigenvalues
+        if w.max() - w.min() < 1e-12:
+            continue
+        rows.append(born_distribution(state, setting).probabilities)
+        values.append(w * np.vdot(b, a).real)
+    return np.array(rows), np.array(values)
+
+
+def _weigert_born_table(a, wq, rho):
+    top = np.array([np.trace(rho @ p).real for p in wq.projectors])
+    coef = np.array([np.vdot(b, a).real for b in wq.dual.elements])
+    return np.stack([top, 1 - top], axis=1), np.stack([coef, np.zeros_like(coef)], axis=1)
+
+
+def _chi2_quantile(dof: int, z: float) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile at normal score z."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+class TestCountSampler:
+    """Block means drawn from multinomial outcome counts have the estimator's law."""
+
+    SEEDS = range(500)
+    PER_SETTING, N_BLOCKS = 2000, 20
+
+    def _law_case(self, selection):
+        rng = np.random.default_rng(5)
+        if selection == "weigert":
+            wq = weigert_quorum(make_spin_system(2), random_directions(9, seed=23))
+            a, rho = random_hermitian(3, rng), random_density(3, rng)
+            probs, values = _weigert_born_table(a, wq, rho)
+            run = partial(estimate_weigert, a, wq, rho, self.PER_SETTING, n_blocks=self.N_BLOCKS)
+        else:
+            q, dual = pauli_quorum()
+            a, rho = random_hermitian(2, rng), random_density(2, rng)
+            probs, values = _discrete_born_table(a, q, dual, rho)
+            run = partial(
+                estimate_discrete, a, q, dual, rho, self.PER_SETTING,
+                n_blocks=self.N_BLOCKS, selection=selection,
+            )
+        return run, probs, values, np.trace(rho @ a).real
+
+    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert"])
+    def test_block_means_follow_born_law(self, selection):
+        run, probs, values, exact = self._law_case(selection)
+        n_settings = probs.shape[0]
+        if selection == "uniform":
+            nb = self.PER_SETTING * n_settings // self.N_BLOCKS
+            shot_var = n_settings * np.sum(probs * values**2) - np.sum(probs * values) ** 2
+        else:
+            nb = self.PER_SETTING // self.N_BLOCKS
+            first = np.sum(probs * values, axis=1)
+            shot_var = np.sum(np.sum(probs * values**2, axis=1) - first**2)
+        predicted = shot_var / nb
+        means = np.concatenate([run(seed=seed).block_means for seed in self.SEEDS])
+        assert abs(means.mean() - exact) <= 5 * np.sqrt(predicted / means.size)
+        dof = means.size - 1
+        ratio = dof * means.var(ddof=1) / predicted
+        assert _chi2_quantile(dof, -5.0) <= ratio <= _chi2_quantile(dof, 5.0)
+
+    @pytest.mark.parametrize("selection", ["quota", "uniform"])
+    def test_peak_memory_independent_of_budget(self, spin_half, coherent2, selection):
+        q, dual = pauli_quorum()
+        peaks = []
+        for n in (10**5, 10**9):
+            tracemalloc.start()
+            try:
+                estimate_discrete(spin_half.sz, q, dual, coherent2, n, seed=3, selection=selection)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert"])
+    def test_block_counts_spend_the_block(self, spin_half, coherent2, selection, monkeypatch):
+        drawn = []
+        draw = estimator._block_counts
+
+        def recording(probs, sizes, seed):
+            for nb, counts in zip(sizes, draw(probs, sizes, seed)):
+                drawn.append((nb, counts))
+                yield counts
+
+        monkeypatch.setattr(estimator, "_block_counts", recording)
+        per_setting = 1003  # not a multiple of n_blocks: blocks differ in size
+        if selection == "weigert":
+            wq = weigert_quorum(spin_half, tetrahedral_directions())
+            stats = estimate_weigert(spin_half.sz, wq, coherent2, per_setting, seed=4)
+            shape, budget = (4, 2), per_setting
+        else:
+            q, dual = pauli_quorum()
+            stats = estimate_discrete(
+                spin_half.sz, q, dual, coherent2, per_setting, seed=4, selection=selection
+            )
+            # a uniform block spends its shots on one pooled (setting, outcome) row
+            shape, budget = (3, 2), per_setting
+            if selection == "uniform":
+                shape, budget = (1, 6), 3 * per_setting
+        assert len(drawn) == stats.n_blocks
+        assert sum(nb for nb, _ in drawn) == budget
+        for nb, counts in drawn:
+            assert counts.shape == shape
+            assert counts.min() >= 0
+            assert np.all(counts.sum(axis=1) == nb)
 
 class TestComplexTargets:
     def test_split_reconstructs_complex_mean(self, spin_half, coherent2, rng):

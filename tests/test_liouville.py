@@ -141,6 +141,20 @@ class TestEigHermitian:
         _, v2 = eig_hermitian(h.copy())
         assert np.array_equal(v1, v2)
 
+    def test_phase_convention_matches_column_loop(self):
+        # reference: each column rotated by its own pivot's phase, one at a time
+        rng = np.random.default_rng(17)
+        for dim in range(1, 17):
+            for h in [random_hermitian(dim, rng) for _ in range(20)] + [np.eye(dim)]:
+                w, v = eig_hermitian(h)
+                w_ref, v_ref = np.linalg.eigh(np.asarray(h, dtype=complex))
+                for k in range(dim):
+                    col = v_ref[:, k]
+                    pivot = col[int(np.argmax(np.abs(col)))]
+                    v_ref[:, k] = col * (np.conj(pivot) / abs(pivot))
+                assert np.array_equal(w, w_ref)
+                assert np.array_equal(v, v_ref)
+
 
 class TestSuperopFromFrame:
     def test_pauli_pair_is_identity(self):
