@@ -136,12 +136,11 @@ def state_expectation(state, a: np.ndarray) -> complex:
     return complex(np.trace(rho @ a))
 
 
-def _born_rows(state, eigvecs: list[np.ndarray]) -> np.ndarray:
-    """Unclipped Born rows p[k, m] = <v_km|rho|v_km>; validates the state once."""
-    psi, rho = _state_arrays(state, eigvecs[0].shape[0])
+def _born_rows(psi: np.ndarray | None, rho: np.ndarray | None, eigvecs: np.ndarray) -> np.ndarray:
+    """Unclipped Born rows p[k, m] = <v_km|rho|v_km> for a stack of eigenbases."""
     if psi is not None:
-        return np.stack([np.abs(v.conj().T @ psi) ** 2 for v in eigvecs])
-    return np.stack([np.einsum("ik,ij,jk->k", v.conj(), rho, v).real for v in eigvecs])
+        return np.abs(np.conj(eigvecs).swapaxes(-1, -2) @ psi) ** 2
+    return np.einsum("nik,ij,njk->nk", np.conj(eigvecs), rho, eigvecs).real
 
 
 def born_distribution(state, setting: MeasurementSetting) -> OutcomeDistribution:
@@ -151,7 +150,8 @@ def born_distribution(state, setting: MeasurementSetting) -> OutcomeDistribution
     eigenvalue happens automatically wherever outcomes enter only through
     their eigenvalue.
     """
-    p = _born_rows(state, [setting.eigenvectors])[0]
+    vecs = setting.eigenvectors
+    p = _born_rows(*_state_arrays(state, vecs.shape[0]), vecs[None])[0]
     if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise ValueError(f"Born probabilities outside [0, 1]: range [{p.min()}, {p.max()}]")
     p = np.clip(p, 0.0, 1.0)
@@ -259,8 +259,9 @@ def _exact_contraction(tables) -> float:
 # ---------------------------------------------------------------------------
 # discrete quorums (generic Hermitian observables with a dual frame)
 
-def _is_sampled(w: np.ndarray) -> bool:
-    return bool(w.max() - w.min() > 1e-12 * (1.0 + np.abs(w).max()))
+def _is_sampled(w: np.ndarray) -> np.ndarray:
+    """Whether each row of eigenvalues (last axis) holds more than one value."""
+    return w.max(axis=-1) - w.min(axis=-1) > 1e-12 * (1.0 + np.abs(w).max(axis=-1))
 
 
 def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
@@ -269,7 +270,7 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     A sample of setting x with outcome index m contributes
     eigenvalue_m * Tr[B_x^dag a].  Settings whose observable has a single
     distinct eigenvalue (e.g. the identity) contribute that value exactly
-    and consume no samples.
+    and consume no samples.  All settings are diagonalised in one batch.
     """
     a = np.asarray(a, dtype=complex)
     require_hermitian(a, "target operator")
@@ -277,22 +278,21 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
         raise DimensionMismatchError(f"quorum dim {quorum.dim} != operator dim {a.shape[0]}")
     if dual.dim != quorum.dim or len(dual) != len(quorum):
         raise DimensionMismatchError("dual frame does not align with the quorum")
-    eigvecs: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    constant = 0.0
-    for c, b, label in zip(quorum.elements, dual.elements, quorum.labels):
-        require_hermitian(c, f"quorum element {label!r}")
-        w, v = eig_hermitian(c)
-        outcome_values = w * _dual_coefficient(b, a, f"setting {label!r}")
-        if _is_sampled(w):
-            eigvecs.append(v)
-            values.append(outcome_values)
-        else:
-            constant += float(outcome_values.mean())
-    values = np.reshape(values, (len(eigvecs), quorum.dim))
-    if not eigvecs:
+    psi, rho = _state_arrays(state, quorum.dim)
+    elements = np.array(quorum.elements)
+    require_hermitian(elements, [f"quorum element {label!r}" for label in quorum.labels])
+    w, v = eig_hermitian(elements)
+    # One vdot per setting: a stacked matrix-vector product sums in another
+    # order and would move every coefficient in its last bits.
+    coeffs = [_dual_coefficient(b, a, f"setting {label!r}")
+              for b, label in zip(dual.elements, quorum.labels)]
+    values = w * np.array(coeffs)[:, None]
+    sampled = _is_sampled(w)
+    constant = sum((float(row.mean()) for row in values[~sampled]), 0.0)
+    values = values[sampled]
+    if not sampled.any():
         return np.zeros_like(values), values, constant
-    rows = np.clip(_born_rows(state, eigvecs), 0.0, 1.0)
+    rows = np.clip(_born_rows(psi, rho, v[sampled]), 0.0, 1.0)
     return rows / rows.sum(axis=1, keepdims=True), values, constant
 
 

@@ -201,9 +201,15 @@ def gram_schmidt_basis(
 ) -> tuple[list[np.ndarray], list[bool], np.ndarray]:
     """Orthonormalize the quorum in the Hilbert-Schmidt inner product.
 
-    Elements whose residual after projecting out the previous basis falls
-    below ``DROP_RTOL`` times the largest input norm are linear
-    combinations of earlier elements and are eliminated.
+    Each element in turn is projected against the basis built so far by
+    classical Gram-Schmidt, run twice: a sweep is the matrix-vector triple
+    s = Y^H v, v -= Y s, c -= s T over the basis Y and its expansion table
+    T.  The second sweep restores orthogonality to roundoff, which one
+    classical sweep loses for badly conditioned inputs (Giraud, Langou and
+    Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  Elements whose
+    residual after both sweeps falls below ``DROP_RTOL`` times the largest
+    input norm are linear combinations of earlier elements and are
+    eliminated.
 
     Returns
     -------
@@ -217,38 +223,40 @@ def gram_schmidt_basis(
     """
     n = len(q)
     d2 = q.dim * q.dim
-    vecs = [c.reshape(-1).astype(complex) for c in q.elements]
-    max_norm = max(np.linalg.norm(v) for v in vecs)
+    vecs = np.asarray(q.coefficient_matrix(), dtype=complex)
+    max_norm = float(np.linalg.norm(vecs, axis=1).max())
     if max_norm == 0.0:
         raise ValueError("cannot orthogonalize an all-zero quorum")
     drop_tol = DROP_RTOL * max_norm
 
-    basis_vecs: list[np.ndarray] = []
-    coeff_rows: list[np.ndarray] = []
+    # Rows of y are the basis vectors, rows of t their expansions.
+    size = min(n, d2)
+    y = np.zeros((size, d2), dtype=complex)
+    t = np.zeros((size, n), dtype=complex)
     kept_mask: list[bool] = []
+    r = 0
     for k in range(n):
         v = vecs[k].copy()
         c = np.zeros(n, dtype=complex)
         c[k] = 1.0
-        # Two projection sweeps keep the basis orthonormal to roundoff even
-        # for badly conditioned inputs.
-        for _ in range(2):
-            for y, t in zip(basis_vecs, coeff_rows):
-                s = np.vdot(y, v)
-                v -= s * y
-                c -= s * t
+        if r:
+            for _ in range(2):
+                # Y^H v as conj(Y conj(v)): conjugates a vector, not Y.
+                s = np.conj(y[:r] @ np.conj(v))
+                v -= s @ y[:r]
+                c -= s @ t[:r]
         norm = np.linalg.norm(v)
         if norm <= drop_tol:
             kept_mask.append(False)
             continue
-        basis_vecs.append(v / norm)
-        coeff_rows.append(c / norm)
+        assert r < size, "more than d^2 orthonormal operators"
+        y[r] = v / norm
+        t[r] = c / norm
+        r += 1
         kept_mask.append(True)
 
-    coeffs = np.stack(coeff_rows) if coeff_rows else np.zeros((0, n), dtype=complex)
-    basis = [y.reshape(q.dim, q.dim) for y in basis_vecs]
-    assert len(basis) <= d2
-    return basis, kept_mask, coeffs
+    basis = list(y[:r].reshape(r, q.dim, q.dim))
+    return basis, kept_mask, t[:r].copy()
 
 
 def dual_via_gram_schmidt(q: Quorum, allow_subspace: bool = False) -> DualFrame:
@@ -264,10 +272,9 @@ def dual_via_gram_schmidt(q: Quorum, allow_subspace: bool = False) -> DualFrame:
     if not report.complete and not allow_subspace:
         raise IncompleteQuorumError(report)
     basis, kept_mask, coeffs = gram_schmidt_basis(q)
-    y = np.stack([b.reshape(-1) for b in basis], axis=1) if basis else np.zeros((q.dim**2, 0), complex)
-    b_mat = y @ np.conj(coeffs)  # d^2 x N, zero columns at dropped slots
-    elements = [b_mat[:, i].reshape(q.dim, q.dim) for i in range(len(q))]
-    return DualFrame.from_elements(elements, kept_mask)
+    y = np.reshape(basis, (len(basis), q.dim**2))
+    b_rows = np.conj(coeffs).T @ y  # N x d^2, zero rows at dropped slots
+    return DualFrame.from_elements(b_rows.reshape(len(q), q.dim, q.dim), kept_mask)
 
 
 def gram_matrix(q: Quorum) -> np.ndarray:

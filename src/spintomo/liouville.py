@@ -72,15 +72,29 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _hermitian_defects(a: np.ndarray, atol: float = HERMITIAN_ATOL):
+    """max|A - A^dag| of each matrix of a stack (..., d, d), and whether it is small enough."""
+    defect = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max(axis=(-2, -1))
+    return defect, defect <= atol + HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1))
+
+
 def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    defect = float(np.abs(a - a.conj().T).max())
-    return defect <= atol + HERMITIAN_RTOL * float(np.abs(a).max())
+    return bool(np.all(_hermitian_defects(a, atol)[1]))
 
 
-def require_hermitian(a: np.ndarray, what: str = "operator") -> np.ndarray:
-    if not is_hermitian(a):
-        defect = float(np.abs(a - a.conj().T).max())
-        raise NotHermitianError(f"{what} is not Hermitian: max|A - A^dag| = {defect:.3e}")
+def require_hermitian(a: np.ndarray, what: str | Sequence[str] = "operator") -> np.ndarray:
+    """Return ``a`` if it is Hermitian, else raise ``NotHermitianError``.
+
+    ``a`` may be a stack (..., d, d); the error then names the first matrix
+    that fails, as ``what[k]`` when ``what`` is a sequence of names.
+    """
+    defect, ok = _hermitian_defects(a)
+    if not np.all(ok):
+        k = int(np.argmin(np.reshape(ok, -1)))
+        name = what if isinstance(what, str) else what[k]
+        raise NotHermitianError(
+            f"{name} is not Hermitian: max|A - A^dag| = {np.reshape(defect, -1)[k]:.3e}"
+        )
     return a
 
 
@@ -111,6 +125,10 @@ def hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a Hermitian matrix with a canonical phase convention.
 
+    ``h`` may also be a stack (..., d, d) of Hermitian matrices, which are
+    diagonalised in one batched call; each matrix gets the same result as
+    it would alone.
+
     Returns
     -------
     eigenvalues : ndarray
@@ -123,10 +141,13 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=complex)
     require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    # Scalar factors round as a per-column rotation does; an array division does not.
-    factors = [np.conj(p) / abs(p) if p != 0 else 1.0 for p in pivots]
-    return w, v * np.array(factors, dtype=complex)
+    rows = np.argmax(np.abs(v), axis=-2)
+    pivots = np.take_along_axis(v, rows[..., None, :], axis=-2)[..., 0, :]
+    # A pivot of a unit column is never zero.  |p| is taken by hypot, which
+    # rounds as the scalar abs(p) does; the array np.abs of a complex array
+    # may differ from it in the last bit.
+    factors = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
+    return w, v * factors[..., None, :]
 
 
 def op_exp(h: np.ndarray, phase: float) -> np.ndarray:

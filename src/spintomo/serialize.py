@@ -20,15 +20,15 @@ from .spin import Direction
 
 
 def op_to_pairs(a: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(a, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1)
+    return flat.view(float).reshape(-1, 2).tolist()
 
 
 def op_from_pairs(pairs: Sequence, dim: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    arr = np.array(pairs, dtype=float)
     if arr.shape != (dim * dim, 2):
         raise ValueError(f"expected {dim * dim} [re, im] pairs, got shape {arr.shape}")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim)
+    return arr.view(complex).reshape(dim, dim)
 
 
 def op_to_json_dict(a: np.ndarray) -> dict:
@@ -94,8 +94,54 @@ def run_stats_to_json_dict(stats: RunStats) -> dict:
     }
 
 
+def _is_number_table(flat: str) -> bool:
+    """Whether ``flat``, a compact JSON list, holds numbers or non-empty lists of numbers.
+
+    Numbers, true, false and null render without brackets, braces, quotes
+    or ", ", so the compact text can be re-indented by string replacement.
+    A nested list other than the first is preceded by "], ", so the counts
+    match only when no list lies deeper than one level.
+    """
+    if '"' in flat or "{" in flat or "[]" in flat:
+        return False
+    nested = flat.count("[") - 1
+    return nested == 0 or (
+        flat.startswith("[[") and flat.endswith("]]") and nested == flat.count("], [") + 1
+    )
+
+
+def _encode(o, newline: str) -> str:
+    """``json.dumps(o, indent=2)`` for a value that starts at the indentation of ``newline``."""
+    if isinstance(o, (list, tuple)) and o:
+        inner = newline + "  "
+        head = o[0][0] if isinstance(o[0], (list, tuple)) and o[0] else o[0]
+        # The head test only saves a useless encoding of deeper lists.
+        flat = "" if isinstance(head, (list, tuple, dict, str)) else json.dumps(o)
+        if flat and _is_number_table(flat):
+            if flat.startswith("[["):
+                deeper = inner + "  "
+                flat = flat.replace("], [", f"{deeper[:-2]}],{inner}[{deeper}")
+                flat = f"[{inner}[{deeper}" + flat[2:-2] + f"{inner}]{newline}]"
+                return flat.replace(", ", "," + deeper)
+            return f"[{inner}" + flat[1:-1].replace(", ", "," + inner) + f"{newline}]"
+        return f"[{inner}" + f",{inner}".join(_encode(x, inner) for x in o) + f"{newline}]"
+    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+        inner = newline + "  "
+        items = (json.dumps(k) + ": " + _encode(v, inner) for k, v in o.items())
+        return "{" + inner + f",{inner}".join(items) + newline + "}"
+    # Scalars, empty containers and dicts with non-string keys.
+    return json.dumps(o, indent=2).replace("\n", newline)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly ``json.dumps(doc, indent=2)`` and a newline, rendered at C-encoder speed.
+
+    ``indent`` makes the standard library fall back to its pure-Python
+    encoder.  Here every list of numbers, or of lists of numbers, such as
+    an operator's [re, im] pairs, is encoded compactly by the C encoder and
+    re-indented by string replacement.
+    """
+    return _encode(doc, "\n") + "\n"
 
 
 def load_json_file(path: str):

@@ -7,7 +7,9 @@ import pytest
 from spintomo import estimator
 from spintomo import (
     DimensionMismatchError,
+    DualFrame,
     NotHermitianError,
+    Quorum,
     block_stats,
     born_distribution,
     coherent_state,
@@ -35,7 +37,7 @@ from spintomo import (
 from spintomo.estimator import _direction_born, _state_factors
 from spintomo.spin import Direction, _EulerRotation
 
-from conftest import psi_quadrature_kernel
+from conftest import SX, SZ, psi_quadrature_kernel
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +192,28 @@ class TestDiscreteEstimator:
 
     def test_rejects_misaligned_dual(self, spin_half, coherent2):
         q, dual = pauli_quorum()
-        from spintomo import DualFrame
         short = DualFrame.from_elements(list(dual.elements[:3]))
         with pytest.raises(DimensionMismatchError):
             estimate_discrete(spin_half.sz, q, short, coherent2, 100)
+
+    @pytest.mark.parametrize(
+        "state, error",
+        [(np.diag([5.0, 7.0]), ValueError), (np.ones(3) / np.sqrt(3), DimensionMismatchError)],
+    )
+    def test_state_validated_without_sampled_settings(self, state, error):
+        # the identity setting consumes no samples, so no Born row is built
+        q = Quorum.from_elements([np.eye(2)])
+        dual = DualFrame.from_elements([np.eye(2) / 2])
+        with pytest.raises(error):
+            estimate_discrete(np.eye(2), q, dual, state, 100)
+        with pytest.raises(error):
+            discrete_exact_value(np.eye(2), q, dual, state)
+
+    def test_non_hermitian_setting_named(self, coherent2):
+        q = Quorum.from_elements([SX, np.array([[0, 1], [0, 0]]), SZ], labels=["x", "bad", "z"])
+        dual = DualFrame.from_elements([SX / 2, SX / 2, SZ / 2])
+        with pytest.raises(NotHermitianError, match="quorum element 'bad'"):
+            estimate_discrete(SZ, q, dual, coherent2, 100)
 
     def test_exact_probability_identity_random(self, spin_half, rng):
         q, dual = pauli_quorum()

@@ -20,9 +20,50 @@ from spintomo import (
     superop_from_frame,
     verify_spanning_definitions,
 )
+from spintomo.frames import DROP_RTOL
 from spintomo.spin import pauli_quorum
 
 from conftest import EYE2, SX, SY, SZ, random_quorum
+
+
+def reference_gram_schmidt(q):
+    """Modified Gram-Schmidt, one vdot/axpy pair per basis vector, swept twice.
+
+    The element-by-element loop that gram_schmidt_basis replaced, with the
+    same drop rule; it returns (basis rows, kept_mask, coeffs).
+    """
+    n = len(q)
+    vecs = [c.reshape(-1).astype(complex) for c in q.elements]
+    drop_tol = DROP_RTOL * max(np.linalg.norm(v) for v in vecs)
+    basis, rows, kept = [], [], []
+    for k in range(n):
+        v = vecs[k].copy()
+        c = np.zeros(n, dtype=complex)
+        c[k] = 1.0
+        for _ in range(2):
+            for y, t in zip(basis, rows):
+                s = np.vdot(y, v)
+                v -= s * y
+                c -= s * t
+        norm = np.linalg.norm(v)
+        kept.append(bool(norm > drop_tol))
+        if kept[-1]:
+            basis.append(v / norm)
+            rows.append(c / norm)
+    return np.array(basis), kept, np.array(rows)
+
+
+def interleaved_quorum(dim, seed, every=4):
+    """Random Hermitian quorum with a combination of recent elements after every ``every``-th."""
+    rng = np.random.default_rng(seed)
+    independent = [random_hermitian(dim, rng) for _ in range(dim * dim)]
+    elements = []
+    for k, c in enumerate(independent):
+        elements.append(c)
+        if k % every == every - 1:
+            picks = independent[k - every + 1:k + 1]
+            elements.append(sum(rng.uniform(-1, 1) * e for e in picks))
+    return Quorum.from_elements(elements)
 
 
 def duality_matrix(q, dual):
@@ -85,6 +126,38 @@ class TestGramSchmidt:
         for k, y in enumerate(basis):
             rebuilt = sum(coeffs[k, n] * q.elements[n] for n in range(4))
             assert np.abs(rebuilt - y).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: interleaved_quorum(3, 1),
+            lambda: interleaved_quorum(4, 2, every=3),
+            lambda: random_quorum(3, 7, seed=4),  # incomplete
+            lambda: random_quorum(2, 9, seed=6),  # overcomplete
+            lambda: random_quorum(4, 30, seed=8),  # overcomplete
+            lambda: Quorum.from_elements([SZ, 2 * SZ, SX, SX + 1e-3 * SY, EYE2]),
+        ],
+        ids=["dependent-d3", "dependent-d4", "incomplete", "overcomplete-d2", "overcomplete-d4",
+             "near-dependent"],
+    )
+    def test_matches_modified_gram_schmidt(self, make):
+        q = make()
+        basis, kept, coeffs = gram_schmidt_basis(q)
+        ref_basis, ref_kept, ref_coeffs = reference_gram_schmidt(q)
+        assert kept == ref_kept
+        assert len(basis) == sum(kept) <= q.dim**2
+        assert coeffs.shape == (sum(kept), len(q))
+        assert np.all(coeffs[:, ~np.array(kept)] == 0)
+        y = np.array([b.reshape(-1) for b in basis])
+        assert np.abs(np.conj(y) @ y.T - np.eye(len(basis))).max() <= 1e-12
+        # both duals B_n = sum_k conj(T[k, n]) y_k; their distance is roundoff
+        # of a computation conditioned like the kept elements
+        kept_rows = q.coefficient_matrix()[np.array(kept)]
+        cond = np.linalg.cond(kept_rows)
+        dual = np.conj(coeffs).T @ y
+        ref_dual = np.conj(ref_coeffs).T @ ref_basis
+        bound = 10 * len(q) * cond * np.finfo(float).eps * np.abs(ref_dual).max()
+        assert np.abs(dual - ref_dual).max() <= bound
 
     def test_all_zero_quorum_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):

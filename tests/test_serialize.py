@@ -1,0 +1,169 @@
+"""serialize.dumps against the standard library, and the operator pair codec."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from spintomo import (
+    RunStats,
+    completeness_check,
+    dual_via_gram_schmidt,
+    random_density,
+    random_hermitian,
+    serialize,
+    verify_spanning_definitions,
+)
+from spintomo.cli import _report_json
+from spintomo.spin import pauli_quorum
+
+from conftest import SX, SZ, random_quorum
+from test_frames import interleaved_quorum
+
+
+def stdlib_dumps(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e300, -1e300, 0.1, 1 / 3,
+               float("nan"), float("inf"), -float("inf")]
+
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70), floats,
+    st.text(), st.sampled_from(["C_0", "Ω_ü", "☃ ,[]", "a, b", '"q"', "\\\n\t"]),
+)
+keys = st.one_of(st.text(), st.sampled_from(["dim", "elements", "labels", "ünï", ""]))
+# Lists of numbers and lists of such lists take the re-indenting path of
+# dumps; the recursive documents mix them with everything else.
+numbers = st.one_of(st.none(), st.booleans(), st.integers(), floats)
+number_tables = st.one_of(
+    st.lists(numbers),
+    st.lists(st.lists(numbers, min_size=0, max_size=4)),
+    st.lists(st.lists(floats, min_size=2, max_size=2), min_size=1),
+)
+documents = st.recursive(
+    st.one_of(scalars, number_tables),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.tuples(children, children),
+        st.dictionaries(keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    @given(documents)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib(self, doc):
+        assert serialize.dumps(doc) == stdlib_dumps(doc)
+
+    @given(number_tables)
+    @settings(max_examples=200, deadline=None)
+    def test_number_tables_match_stdlib(self, doc):
+        assert serialize.dumps(doc) == stdlib_dumps(doc)
+        assert serialize.dumps({"a": [doc, {"b": doc}]}) == stdlib_dumps({"a": [doc, {"b": doc}]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {}, [], [[]], [[], [1]], [[1], []], [1, [2, 3]], [[1, 2], 3], [[1], 2, [3]],
+            [[[1.0]]], [[1, [2]], [3]], [[1, "x"]], ["a, b", "[c]"], [{"a": [1, 2]}],
+            {1: [2.5], 2.5: {None: True}, "x": [[1.0, -0.0]]}, (1.0, 2.0), [(1.0, 2.0)],
+            [np.float64(0.1), np.float64(-0.0)], [[np.float64(1e-7), 1]],
+            EDGE_FLOATS, [[x, x] for x in EDGE_FLOATS], 5, -0.0, "ü", None, True,
+        ],
+    )
+    def test_edge_documents(self, doc):
+        assert serialize.dumps(doc) == stdlib_dumps(doc)
+
+    def test_unserializable_rejected(self):
+        with pytest.raises(TypeError):
+            serialize.dumps({"a": [1, object()]})
+
+
+class TestPackageDocuments:
+    def test_quorum_and_dual(self):
+        q = interleaved_quorum(3, 5)
+        dual = dual_via_gram_schmidt(q)
+        assert not all(dual.kept_mask)
+        for doc in (serialize.quorum_to_json_dict(q),
+                    serialize.dual_to_json_dict(dual),
+                    serialize.dual_to_json_dict(dual, labels=[f"ü_{n}" for n in range(len(q))])):
+            assert serialize.dumps(doc) == stdlib_dumps(doc)
+
+    def test_operator(self, rng):
+        for doc in (serialize.op_to_json_dict(random_hermitian(5, rng)),
+                    serialize.op_to_json_dict(random_density(1, rng)),
+                    serialize.op_to_json_dict(np.array([[-0.0, 5e-324], [1e300, np.nan]]))):
+            assert serialize.dumps(doc) == stdlib_dumps(doc)
+
+    def test_reports_with_and_without_witness(self):
+        q, dual = pauli_quorum()
+        complete = verify_spanning_definitions(q, dual, trials=5)
+        traceless = random_quorum(2, 3, seed=1)
+        incomplete = verify_spanning_definitions(
+            traceless, dual_via_gram_schmidt(traceless, allow_subspace=True), trials=5
+        )
+        assert complete.defect_witness is None and incomplete.defect_witness is not None
+        for report in (complete, incomplete, completeness_check(traceless)):
+            doc = _report_json(report)
+            assert serialize.dumps(doc) == stdlib_dumps(doc)
+
+    def test_run_stats_and_checkpoints(self):
+        stats = RunStats(n_samples=2000, n_blocks=3, block_means=(0.1, -0.0, 1e-7), mean=1 / 3,
+                         error_bar=5e-324, estimator="discrete", seed=7,
+                         convention="per_setting_quota")
+        doc = serialize.run_stats_to_json_dict(stats)
+        doc["exact"] = 0.25
+        bare = serialize.run_stats_to_json_dict(RunStats(10, 2, (0.5, 1.5), 1.0, 0.5))
+        config = {"spin_two_s": 1, "quorum": "pauli", "checkpoints": [200, 1000, 2000],
+                  "state": "coherent:1", "directions": serialize.directions_to_json_list([])}
+        for d in (doc, bare, config):
+            assert serialize.dumps(d) == stdlib_dumps(d)
+
+
+def complex_arrays(dim):
+    # any bit pattern, including -0.0, subnormals, inf and nan payloads
+    return hnp.arrays(np.uint64, (dim, dim, 2)).map(
+        lambda bits: np.ascontiguousarray(bits).view(np.float64).view(complex)[..., 0]
+    )
+
+
+class TestOperatorPairs:
+    @given(st.integers(1, 5).flatmap(complex_arrays))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_bit_exact(self, a):
+        back = serialize.op_from_pairs(serialize.op_to_pairs(a), a.shape[0])
+        assert back.dtype == complex and back.shape == a.shape
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+    @given(st.integers(1, 4).flatmap(lambda d: hnp.arrays(
+        float, (d, d, 2), elements=st.floats(allow_nan=False, allow_infinity=False)
+    )))
+    @settings(max_examples=100, deadline=None)
+    def test_json_text_round_trip_bit_exact(self, parts):
+        a = parts[..., 0] + 1j * parts[..., 1]
+        a.real, a.imag = parts[..., 0], parts[..., 1]  # keep -0.0 in both parts
+        text = serialize.dumps(serialize.op_to_json_dict(a))
+        back = serialize.op_from_json_dict(json.loads(text))
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+    def test_pairs_are_python_floats(self):
+        pairs = serialize.op_to_pairs(np.array([[1 + 2j, -3j], [0.5, 4]]))
+        assert all(type(x) is float for p in pairs for x in p)
+        assert pairs == [[1.0, 2.0], [0.0, -3.0], [0.5, 0.0], [4.0, 0.0]]
+
+    def test_non_contiguous_input(self):
+        a = (SX + 0.5j * SZ).T
+        assert np.array_equal(serialize.op_from_pairs(serialize.op_to_pairs(a), 2), a)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="pairs"):
+            serialize.op_from_pairs([[1.0, 0.0]] * 3, 2)
+        with pytest.raises(ValueError, match="pairs"):
+            serialize.op_from_pairs([[1.0, 0.0, 0.0]] * 4, 2)
