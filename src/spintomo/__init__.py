@@ -1,23 +1,15 @@
 """Operator-frame quantum tomography toolkit for spin systems."""
 
 from .estimator import (
-    ComplexEstimate,
     DualCoefficientError,
-    MeasurementSetting,
-    OutcomeDistribution,
     RunStats,
-    Sample,
     block_stats,
-    born_distribution,
     continuous_exact_value,
     continuous_kernel,
     discrete_exact_value,
     estimate_continuous,
     estimate_discrete,
-    estimate_discrete_complex,
     estimate_weigert,
-    measurement_setting,
-    sample_outcomes,
     state_expectation,
     weigert_exact_value,
 )
@@ -30,7 +22,6 @@ from .frames import (
     completeness_check,
     dual_via_gram_inverse,
     dual_via_gram_schmidt,
-    gram_matrix,
     gram_schmidt_basis,
     reproducing_kernel_residual,
     verify_spanning_definitions,
@@ -40,7 +31,6 @@ from .liouville import (
     NotHermitianError,
     as_operator,
     eig_hermitian,
-    hermitian_parts,
     hs_inner,
     hs_norm,
     op_exp,

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import DualFrame, Quorum
-from .liouville import (
-    DimensionMismatchError,
-    _frozen,
-    eig_hermitian,
-    hermitian_parts,
-    is_hermitian,
-    require_hermitian,
-)
+from .liouville import DimensionMismatchError, eig_hermitian, require_hermitian
 from .spin import Direction, SpinState, SpinSystem, WeigertQuorum, _EulerRotation, _rows_times
 
 
@@ -48,44 +41,6 @@ def _dual_coefficient(b: np.ndarray, a: np.ndarray, what: str) -> float:
     if abs(coeff.imag) > 1e-8 * (1.0 + abs(coeff)):
         raise DualCoefficientError(f"non-real dual coefficient for {what}: {coeff}")
     return coeff.real
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """A Hermitian observable with its cached eigensystem."""
-
-    observable: np.ndarray
-    label: str
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def measurement_setting(observable: np.ndarray, label: str = "") -> MeasurementSetting:
-    obs = np.asarray(observable, dtype=complex)
-    require_hermitian(obs, f"observable {label!r}" if label else "observable")
-    w, v = eig_hermitian(obs)
-    recon = (v * w) @ v.conj().T
-    if np.abs(recon - obs).max() > 1e-10:
-        raise ValueError(f"eigensystem fails to reconstruct observable {label!r}")
-    return MeasurementSetting(
-        observable=_frozen(obs), label=label, eigenvalues=_frozen(w), eigenvectors=_frozen(v)
-    )
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Born probabilities aligned with the setting's ascending eigenvalues."""
-
-    setting: MeasurementSetting
-    probabilities: np.ndarray
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One simulated measurement: which setting, which eigenvalue index."""
-
-    setting_index: int | Direction | None
-    outcome_index: int
 
 
 @dataclass(frozen=True)
@@ -141,43 +96,6 @@ def _born_rows(psi: np.ndarray | None, rho: np.ndarray | None, eigvecs: np.ndarr
     if psi is not None:
         return np.abs(np.conj(eigvecs).swapaxes(-1, -2) @ psi) ** 2
     return np.einsum("nik,ij,njk->nk", np.conj(eigvecs), rho, eigvecs).real
-
-
-def born_distribution(state, setting: MeasurementSetting) -> OutcomeDistribution:
-    """Outcome probabilities p_m = <v_m|rho|v_m> over the setting's eigenvectors.
-
-    Degenerate eigenvalues keep separate eigenvector slots; aggregation by
-    eigenvalue happens automatically wherever outcomes enter only through
-    their eigenvalue.
-    """
-    vecs = setting.eigenvectors
-    p = _born_rows(*_state_arrays(state, vecs.shape[0]), vecs[None])[0]
-    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
-        raise ValueError(f"Born probabilities outside [0, 1]: range [{p.min()}, {p.max()}]")
-    p = np.clip(p, 0.0, 1.0)
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"Born probabilities sum to {p.sum()}, expected 1")
-    return OutcomeDistribution(setting=setting, probabilities=_frozen(p))
-
-
-def _draw_outcomes(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf_row, u, side="right")
-    return np.minimum(idx, cdf_row.size - 1)
-
-
-def sample_outcomes(
-    dist: OutcomeDistribution,
-    count: int,
-    seed,
-    setting_index: int | Direction | None = None,
-) -> list[Sample]:
-    """Draw i.i.d. outcome indices by inverse CDF; deterministic per seed."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    p = dist.probabilities / dist.probabilities.sum()
-    rng = np.random.default_rng(seed)
-    idx = _draw_outcomes(np.cumsum(p), rng.random(count))
-    return [Sample(setting_index=setting_index, outcome_index=int(i)) for i in idx]
 
 
 def _block_sizes(total: int, n_blocks: int) -> np.ndarray:
@@ -317,8 +235,7 @@ def estimate_discrete(
     variance differs.  A block's mean depends on its shots only through the
     count of each (setting, outcome) pair, so each block makes one
     multinomial draw of those counts from a generator seeded per
-    (seed, block): time and memory do not grow with the budget, and results
-    do not depend on worker scheduling.
+    (seed, block), so time and memory do not grow with the budget.
     """
     if selection not in ("quota", "uniform"):
         raise ValueError(f"unknown selection convention {selection!r}")
@@ -462,9 +379,8 @@ def estimate_continuous(
     outcome kernel.  The eigenvectors of S.n are the columns of the Euler
     rotation exp(-i phi S_z) exp(-i theta S_y), so a sample costs a few
     d x d products and no diagonalisation.  Blocks own derived seeds
-    (seed, block) and are merged in a fixed order, so the result is
-    reproducible for any worker count; each block is streamed in chunks of
-    bounded size.
+    (seed, block) and are merged in a fixed order; each block is streamed
+    in chunks of bounded size.
     """
     a = np.asarray(a, dtype=complex)
     require_hermitian(a, "target operator")
@@ -612,54 +528,3 @@ def weigert_exact_value(
 ) -> float:
     """Weigert estimator with exact Born probabilities; Tr[rho a] when unscaled."""
     return _exact_contraction(_weigert_tables(a, wq, state, scale_by_spin))
-
-
-# ---------------------------------------------------------------------------
-# non-Hermitian targets via the Hermitian / anti-Hermitian split
-
-@dataclass(frozen=True)
-class ComplexEstimate:
-    """Component-wise statistics for a general (non-Hermitian) target."""
-
-    mean: complex
-    real_part: RunStats
-    imag_part: RunStats
-
-
-def estimate_discrete_complex(
-    a: np.ndarray,
-    quorum: Quorum,
-    dual: DualFrame,
-    state,
-    samples_per_setting: int,
-    *,
-    n_blocks: int = 20,
-    seed: int = 42,
-    selection: str = "quota",
-) -> ComplexEstimate:
-    """Estimate a general operator by splitting it as a = h + i k.
-
-    Both Hermitian parts are estimated independently with derived seeds
-    and reported with their own error bars.
-    """
-    a = np.asarray(a, dtype=complex)
-    h, k = hermitian_parts(a)
-    seeds = [int(s) for s in np.random.SeedSequence([seed]).generate_state(2)]
-    stats_h = estimate_discrete(
-        h, quorum, dual, state, samples_per_setting,
-        n_blocks=n_blocks, seed=seeds[0], selection=selection,
-    )
-    if is_hermitian(a):
-        zero = RunStats(
-            n_samples=0, n_blocks=n_blocks, block_means=(0.0,) * n_blocks,
-            mean=0.0, error_bar=0.0, estimator="discrete", seed=seeds[1],
-            convention=stats_h.convention,
-        )
-        return ComplexEstimate(mean=complex(stats_h.mean), real_part=stats_h, imag_part=zero)
-    stats_k = estimate_discrete(
-        k, quorum, dual, state, samples_per_setting,
-        n_blocks=n_blocks, seed=seeds[1], selection=selection,
-    )
-    return ComplexEstimate(
-        mean=complex(stats_h.mean, stats_k.mean), real_part=stats_h, imag_part=stats_k
-    )

@@ -277,12 +277,6 @@ def dual_via_gram_schmidt(q: Quorum, allow_subspace: bool = False) -> DualFrame:
     return DualFrame.from_elements(b_rows.reshape(len(q), q.dim, q.dim), kept_mask)
 
 
-def gram_matrix(q: Quorum) -> np.ndarray:
-    """Hermitian N x N matrix of pairwise Hilbert-Schmidt products."""
-    mat = q.coefficient_matrix()
-    return np.conj(mat) @ mat.T
-
-
 def _gram_dual(q: Quorum, condition_cap: float) -> tuple[DualFrame, float]:
     """Gram dual B = C G^-1 = (C^+)^H and cond(G), both from one SVD of C.
 

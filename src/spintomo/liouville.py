@@ -5,8 +5,7 @@ Hilbert-Schmidt inner product Tr[A^dag B], the induced norm, a Hermitian
 eigen-solver with a reproducible phase convention, the Hermitian matrix
 exponential, and the frame super-operator used to test operator frames.
 
-All functions are pure and never mutate their inputs, so values can be
-shared freely across workers.
+All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -28,32 +27,11 @@ class NotHermitianError(ValueError):
     """A Hermitian matrix was required."""
 
 
-def as_operator(entries, hermitian_hint: bool | None = None) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix and validate it.
-
-    Parameters
-    ----------
-    entries : array_like
-        Square matrix data, any shape coercible to (d, d) complex.
-    hermitian_hint : bool, optional
-        When True, the matrix must be Hermitian to within
-        ``1e-12 * (1 + max|entries|)``.
-
-    Returns
-    -------
-    ndarray
-        A fresh (d, d) complex128 array.
-    """
+def as_operator(entries) -> np.ndarray:
+    """Coerce ``entries`` to a fresh nonempty square complex128 matrix."""
     a = np.array(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"operator must be a nonempty square matrix, got shape {a.shape}")
-    if hermitian_hint:
-        scale = 1.0 + float(np.abs(a).max())
-        defect = float(np.abs(a - a.conj().T).max())
-        if defect > 1e-12 * scale:
-            raise NotHermitianError(
-                f"hermitian_hint set but max|A - A^dag| = {defect:.3e} exceeds {1e-12 * scale:.3e}"
-            )
     return a
 
 
@@ -72,23 +50,14 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[0]
 
 
-def _hermitian_defects(a: np.ndarray, atol: float = HERMITIAN_ATOL):
-    """max|A - A^dag| of each matrix of a stack (..., d, d), and whether it is small enough."""
-    defect = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max(axis=(-2, -1))
-    return defect, defect <= atol + HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1))
-
-
-def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.all(_hermitian_defects(a, atol)[1]))
-
-
 def require_hermitian(a: np.ndarray, what: str | Sequence[str] = "operator") -> np.ndarray:
     """Return ``a`` if it is Hermitian, else raise ``NotHermitianError``.
 
     ``a`` may be a stack (..., d, d); the error then names the first matrix
     that fails, as ``what[k]`` when ``what`` is a sequence of names.
     """
-    defect, ok = _hermitian_defects(a)
+    defect = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max(axis=(-2, -1))
+    ok = defect <= HERMITIAN_ATOL + HERMITIAN_RTOL * np.abs(a).max(axis=(-2, -1))
     if not np.all(ok):
         k = int(np.argmin(np.reshape(ok, -1)))
         name = what if isinstance(what, str) else what[k]
@@ -112,14 +81,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt norm sqrt(Tr[a^dag a]); zero iff a == 0."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a = h + i*k into Hermitian h and Hermitian k."""
-    a = np.asarray(a, dtype=complex)
-    h = (a + a.conj().T) / 2
-    k = (a - a.conj().T) / 2j
-    return h, k
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

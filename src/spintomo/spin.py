@@ -92,10 +92,6 @@ class Direction:
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
 
-    def angular_distance(self, other: "Direction") -> float:
-        dot = float(np.clip(self.unit_vector @ other.unit_vector, -1.0, 1.0))
-        return math.acos(dot)
-
 
 @dataclass(frozen=True)
 class SpinState:
@@ -224,15 +220,13 @@ class WeigertQuorum:
 
     system: SpinSystem
     directions: tuple[Direction, ...]
-    projectors: tuple[np.ndarray, ...]
+    quorum: Quorum
     dual: DualFrame
     gram_condition: float
 
-    def as_quorum(self) -> Quorum:
-        labels = [
-            f"n_{k}({d.theta:.12g},{d.phi:.12g})" for k, d in enumerate(self.directions)
-        ]
-        return Quorum.from_elements(self.projectors, labels)
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return self.quorum.elements
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -257,12 +251,14 @@ def weigert_quorum(system: SpinSystem, directions: list[Direction]) -> WeigertQu
         raise ValueError(
             f"spin s = {system.s} needs exactly {n_required} directions, got {len(directions)}"
         )
-    for i in range(len(directions)):
-        for j in range(i + 1, len(directions)):
-            if directions[i].angular_distance(directions[j]) <= 1e-12:
-                raise SingularGramError(
-                    float("inf"), detail=f"directions {i} and {j} coincide"
-                )
+    # The chord |u_i - u_j| is exactly 0 for equal directions; the angle
+    # acos(u_i . u_j) cannot resolve anything below about 1.5e-8.
+    u = np.array([n.unit_vector for n in directions])
+    chord = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=-1)
+    close = np.argwhere(np.triu(chord <= 1e-12, k=1))
+    if close.size:
+        i, j = close[0]
+        raise SingularGramError(float("inf"), detail=f"directions {i} and {j} coincide")
     projectors = [max_spin_projector(system, n) for n in directions]
     labels = [f"n_{k}({d.theta:.12g},{d.phi:.12g})" for k, d in enumerate(directions)]
     quorum = Quorum.from_elements(projectors, labels)
@@ -270,7 +266,7 @@ def weigert_quorum(system: SpinSystem, directions: list[Direction]) -> WeigertQu
     return WeigertQuorum(
         system=system,
         directions=tuple(directions),
-        projectors=tuple(_frozen(p) for p in projectors),
+        quorum=quorum,
         dual=dual,
         gram_condition=condition,
     )

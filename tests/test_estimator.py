@@ -11,24 +11,19 @@ from spintomo import (
     NotHermitianError,
     Quorum,
     block_stats,
-    born_distribution,
     coherent_state,
     continuous_exact_value,
     continuous_kernel,
     discrete_exact_value,
     estimate_continuous,
     estimate_discrete,
-    estimate_discrete_complex,
     estimate_weigert,
     basis_state,
     make_spin_system,
-    measurement_setting,
     pauli_quorum,
     random_density,
     random_directions,
     random_hermitian,
-    random_operator,
-    sample_outcomes,
     state_expectation,
     tetrahedral_directions,
     weigert_exact_value,
@@ -50,62 +45,69 @@ def coherent2(spin_half):
     return coherent_state(spin_half, 2.0)
 
 
+def _engine_born_row(state, observable):
+    """Born row of measuring one observable, as the count engine builds it."""
+    q = Quorum.from_elements([observable])
+    probs, _, _ = estimator._discrete_tables(
+        observable, q, DualFrame.from_elements([observable]), state
+    )
+    return probs[0]
+
+
+def _single_setting_run(observable, state, samples, seed):
+    """Shots of one observable, each worth its outcome eigenvalue.
+
+    The dual 2 * observable gives coefficient Tr[2 O^2] = 1 for the spin-1/2
+    components, so a block mean is the mean measured eigenvalue.
+    """
+    q = Quorum.from_elements([observable])
+    dual = DualFrame.from_elements([2 * observable])
+    return estimate_discrete(observable, q, dual, state, samples, seed=seed)
+
+
 class TestBornDistribution:
     def test_eigenstate_is_deterministic(self, spin_half):
-        setting = measurement_setting(spin_half.sz, "Sz")
-        dist = born_distribution(basis_state(spin_half, 0.5), setting)
-        assert np.allclose(dist.probabilities, [0, 1], atol=1e-14)
+        row = _engine_born_row(basis_state(spin_half, 0.5), spin_half.sz)
+        assert np.allclose(row, [0, 1], atol=1e-14)
 
     def test_mutually_unbiased(self, spin_half):
-        setting = measurement_setting(spin_half.sx, "Sx")
-        dist = born_distribution(basis_state(spin_half, 0.5), setting)
-        assert np.allclose(dist.probabilities, [0.5, 0.5], atol=1e-14)
+        row = _engine_born_row(basis_state(spin_half, 0.5), spin_half.sx)
+        assert np.allclose(row, [0.5, 0.5], atol=1e-14)
 
     def test_coherent_state_along_z(self, spin_half, coherent2):
-        setting = measurement_setting(spin_half.sz, "Sz")
-        dist = born_distribution(coherent2, setting)
-        assert dist.probabilities[1] == pytest.approx(np.sin(2) ** 2, abs=1e-12)
+        row = _engine_born_row(coherent2, spin_half.sz)
+        assert row[1] == pytest.approx(np.sin(2) ** 2, abs=1e-12)
 
     def test_density_matrix_input(self, spin_half, rng):
-        setting = measurement_setting(spin_half.sz, "Sz")
+        # S_z is diagonal in the m-ascending basis: p_m = rho_mm
         rho = random_density(2, rng)
-        dist = born_distribution(rho, setting)
-        assert dist.probabilities.sum() == pytest.approx(1, abs=1e-10)
-
-    def test_rejects_bad_states(self, spin_half):
-        setting = measurement_setting(spin_half.sz, "Sz")
-        with pytest.raises(ValueError, match="norm"):
-            born_distribution(np.array([1.0, 1.0]), setting)
-        with pytest.raises(ValueError, match="positive"):
-            born_distribution(np.diag([1.5, -0.5]).astype(complex), setting)
-        with pytest.raises(ValueError, match="trace"):
-            born_distribution(np.diag([0.9, 0.2]).astype(complex), setting)
+        row = _engine_born_row(rho, spin_half.sz)
+        assert np.abs(row - np.diag(rho).real).max() <= 1e-14
 
 
 class TestSampling:
     def test_deterministic_distribution(self, spin_half):
-        setting = measurement_setting(spin_half.sz, "Sz")
-        dist = born_distribution(basis_state(spin_half, 0.5), setting)
-        samples = sample_outcomes(dist, 200, seed=7)
-        assert all(s.outcome_index == 1 for s in samples)
+        stats = _single_setting_run(spin_half.sz, basis_state(spin_half, 0.5), 200, seed=7)
+        assert set(stats.block_means) == {0.5}
+        assert stats.error_bar == 0.0
 
     def test_fair_coin_concentrates(self, spin_half):
-        setting = measurement_setting(spin_half.sx, "Sx")
-        dist = born_distribution(basis_state(spin_half, 0.5), setting)
-        samples = sample_outcomes(dist, 100_000, seed=42)
-        freq = np.mean([s.outcome_index == 0 for s in samples])
+        stats = _single_setting_run(spin_half.sx, basis_state(spin_half, 0.5), 100_000, seed=42)
+        freq = 0.5 - stats.mean  # share of the outcome -1/2
         assert abs(freq - 0.5) < 0.01
 
-    def test_repeatable(self, spin_half):
-        setting = measurement_setting(spin_half.sx, "Sx")
-        dist = born_distribution(basis_state(spin_half, 0.5), setting)
-        assert sample_outcomes(dist, 50, seed=3) == sample_outcomes(dist, 50, seed=3)
+    def test_repeatable(self):
+        probs = np.array([[0.3, 0.7], [0.5, 0.5]])
+        sizes = np.array([17, 16, 16])
+        runs = [list(estimator._block_counts(probs, sizes, 3)) for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
-    def test_count_validated(self, spin_half):
-        setting = measurement_setting(spin_half.sx, "Sx")
-        dist = born_distribution(basis_state(spin_half, 0.5), setting)
-        with pytest.raises(ValueError):
-            sample_outcomes(dist, 0, seed=1)
+    def test_count_validated(self, spin_half, coherent2):
+        with pytest.raises(ValueError, match="cannot fill"):
+            _single_setting_run(spin_half.sx, coherent2, 19, seed=1)
+        wq = weigert_quorum(spin_half, tetrahedral_directions())
+        with pytest.raises(ValueError, match="cannot fill"):
+            estimate_weigert(spin_half.sz, wq, coherent2, 19, seed=1)
 
 
 class TestBlockStats:
@@ -198,15 +200,23 @@ class TestDiscreteEstimator:
 
     @pytest.mark.parametrize(
         "state, error",
-        [(np.diag([5.0, 7.0]), ValueError), (np.ones(3) / np.sqrt(3), DimensionMismatchError)],
+        [
+            (np.diag([5.0, 7.0]), ValueError),
+            (np.ones(3) / np.sqrt(3), DimensionMismatchError),
+            (np.array([1.0, 1.0]), "norm"),
+            (np.diag([1.5, -0.5]).astype(complex), "positive"),
+            (np.diag([0.9, 0.2]).astype(complex), "trace"),
+        ],
     )
     def test_state_validated_without_sampled_settings(self, state, error):
         # the identity setting consumes no samples, so no Born row is built
         q = Quorum.from_elements([np.eye(2)])
         dual = DualFrame.from_elements([np.eye(2) / 2])
-        with pytest.raises(error):
+        # a string names the message of a ValueError
+        error, match = (ValueError, error) if isinstance(error, str) else (error, None)
+        with pytest.raises(error, match=match):
             estimate_discrete(np.eye(2), q, dual, state, 100)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             discrete_exact_value(np.eye(2), q, dual, state)
 
     def test_non_hermitian_setting_named(self, coherent2):
@@ -467,15 +477,14 @@ class TestWeigertEstimator:
         assert stats.convention == "per_direction_quota"
 
 
-def _discrete_born_table(a, q, dual, state):
-    """Born rows and outcome values of the sampled settings, built independently."""
+def _discrete_born_table(a, q, dual, rho):
+    """Born rows and outcome values of the sampled settings, built with plain numpy."""
     rows, values = [], []
     for c, b in zip(q.elements, dual.elements):
-        setting = measurement_setting(c)
-        w = setting.eigenvalues
+        w, v = np.linalg.eigh(c)
         if w.max() - w.min() < 1e-12:
             continue
-        rows.append(born_distribution(state, setting).probabilities)
+        rows.append(np.einsum("im,ij,jm->m", v.conj(), rho, v).real)
         values.append(w * np.vdot(b, a).real)
     return np.array(rows), np.array(values)
 
@@ -577,20 +586,3 @@ class TestCountSampler:
             assert counts.shape == shape
             assert counts.min() >= 0
             assert np.all(counts.sum(axis=1) == nb)
-
-class TestComplexTargets:
-    def test_split_reconstructs_complex_mean(self, spin_half, coherent2, rng):
-        q, dual = pauli_quorum()
-        a = random_operator(2, rng)
-        exact = state_expectation(coherent2, a)
-        est = estimate_discrete_complex(a, q, dual, coherent2, 40_000, seed=42)
-        tol = 4 * (est.real_part.error_bar + est.imag_part.error_bar)
-        assert abs(est.mean - exact) <= tol
-        assert est.real_part.error_bar > 0
-        assert est.imag_part.error_bar > 0
-
-    def test_hermitian_input_has_zero_imag(self, spin_half, coherent2):
-        q, dual = pauli_quorum()
-        est = estimate_discrete_complex(spin_half.sz, q, dual, coherent2, 1000, seed=1)
-        assert est.mean.imag == 0.0
-        assert est.imag_part.n_samples == 0

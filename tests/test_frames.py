@@ -10,7 +10,6 @@ from spintomo import (
     completeness_check,
     dual_via_gram_inverse,
     dual_via_gram_schmidt,
-    gram_matrix,
     gram_schmidt_basis,
     hs_inner,
     hs_norm,
@@ -173,7 +172,8 @@ class TestDualConstruction:
 
     def test_pauli_dual_gram_inverse(self):
         q, expected = pauli_quorum()
-        assert np.abs(gram_matrix(q) - 2 * np.eye(4)).max() <= 1e-12
+        c = q.coefficient_matrix()
+        assert np.abs(np.conj(c) @ c.T - 2 * np.eye(4)).max() <= 1e-12
         dual = dual_via_gram_inverse(q)
         for b, e in zip(dual.elements, expected.elements):
             assert np.abs(b - e).max() <= 1e-12

@@ -9,7 +9,6 @@ from spintomo import (
     as_operator,
     dual_via_gram_inverse,
     eig_hermitian,
-    hermitian_parts,
     hs_inner,
     hs_norm,
     op_exp,
@@ -185,15 +184,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_operator(np.zeros((2, 3)))
 
-    def test_hermitian_hint_enforced(self):
-        with pytest.raises(NotHermitianError):
-            as_operator([[0, 1], [0, 0]], hermitian_hint=True)
-        as_operator(SX, hermitian_hint=True)
-
-    @given(seeded_pair())
-    def test_hermitian_parts_recompose(self, pair):
-        a, _ = pair
-        h, k = hermitian_parts(a)
-        assert np.abs(h + 1j * k - a).max() <= 1e-12
-        assert np.abs(h - h.conj().T).max() <= 1e-12
-        assert np.abs(k - k.conj().T).max() <= 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,11 +64,6 @@ class TestDirections:
     def test_unit_vector(self):
         n = Direction(np.pi / 3, np.pi / 4).unit_vector
         assert np.linalg.norm(n) == pytest.approx(1, abs=1e-14)
-
-    def test_angular_distance(self):
-        a = Direction(0.0, 0.0)
-        b = Direction(np.pi / 2, 0.0)
-        assert a.angular_distance(b) == pytest.approx(np.pi / 2)
 
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
@@ -175,7 +172,7 @@ class TestWeigert:
         sys_ = make_spin_system(1)
         wq = weigert_quorum(sys_, tetrahedral_directions())
         assert wq.gram_condition == pytest.approx(3.0, abs=1e-9)
-        assert completeness_check(wq.as_quorum()).complete
+        assert completeness_check(wq.quorum).complete
         for _ in range(20):
             a = random_hermitian(2, rng)
             recon = sum(
@@ -205,7 +202,15 @@ class TestWeigert:
         sys_ = make_spin_system(1)
         dirs = tetrahedral_directions()
         dirs[3] = dirs[0]
-        with pytest.raises(SingularGramError, match="coincide"):
+        with pytest.raises(SingularGramError, match="directions 0 and 3 coincide"):
+            weigert_quorum(sys_, dirs)
+        # a direction whose acos(u . u) is not 0: an angle test misses the pair
+        n = next(
+            n for n in random_directions(1000, 3)
+            if math.acos(min(1.0, n.unit_vector @ n.unit_vector)) > 0
+        )
+        dirs = [tetrahedral_directions()[1], n, tetrahedral_directions()[2], n]
+        with pytest.raises(SingularGramError, match="directions 1 and 3 coincide"):
             weigert_quorum(sys_, dirs)
 
     def test_wrong_count_rejected(self):
@@ -217,7 +222,7 @@ class TestWeigert:
     def test_random_directions_complete(self, two_s, seed, rng):
         sys_ = make_spin_system(two_s)
         wq = weigert_quorum(sys_, random_directions(sys_.dim**2, seed))
-        report = completeness_check(wq.as_quorum())
+        report = completeness_check(wq.quorum)
         assert report.complete and report.rank == sys_.dim**2
         a = random_hermitian(sys_.dim, rng)
         recon = sum(hs_inner(b, a) * q for q, b in zip(wq.projectors, wq.dual.elements))
