@@ -238,8 +238,6 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
         if cfg.directions_file:
             directions = serialize.directions_from_json_list(_load_json(cfg.directions_file))
         runner = build_runner(cfg, system, state_val, target_op, directions=directions)
-        if cfg.n_samples < cfg.n_blocks:
-            raise ValueError("n_samples must be >= n_blocks")
     except (IncompleteQuorumError, SingularGramError) as err:
         _fail_domain(str(err))
     except (KeyError, TypeError, ValueError) as err:

@@ -197,9 +197,8 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     if dual.dim != quorum.dim or len(dual) != len(quorum):
         raise DimensionMismatchError("dual frame does not align with the quorum")
     psi, rho = _state_arrays(state, quorum.dim)
-    elements = np.array(quorum.elements)
-    require_hermitian(elements, [f"quorum element {label!r}" for label in quorum.labels])
-    w, v = eig_hermitian(elements)
+    require_hermitian(quorum.elements, [f"quorum element {label!r}" for label in quorum.labels])
+    w, v = eig_hermitian(quorum.elements)
     # One vdot per setting: a stacked matrix-vector product sums in another
     # order and would move every coefficient in its last bits.
     coeffs = [_dual_coefficient(b, a, f"setting {label!r}")
@@ -481,11 +480,10 @@ def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool
     for k, b in enumerate(wq.dual.elements):
         values[k, 0] = factor * _dual_coefficient(b, a, f"direction {k}")
     psi, rho = _state_arrays(state, wq.system.dim)
-    projectors = np.array(wq.projectors)
     if psi is not None:
-        top = ((projectors @ psi) @ psi.conj()).real
+        top = ((wq.projectors @ psi) @ psi.conj()).real
     else:
-        top = np.einsum("kij,ji->k", projectors, rho).real
+        top = np.einsum("kij,ji->k", wq.projectors, rho).real
     top = np.clip(top, 0.0, 1.0)
     return np.stack([top, 1.0 - top], axis=1), values, 0.0
 

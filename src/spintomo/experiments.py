@@ -93,7 +93,7 @@ def resolve_target(cfg: ExperimentConfig, system: SpinSystem, load_matrix=None) 
 def _pauli_pair():
     """The Pauli quorum, its dual and the number of its sampled settings."""
     quorum, dual = pauli_quorum()
-    return quorum, dual, int(np.sum(_is_sampled(np.linalg.eigvalsh(np.array(quorum.elements)))))
+    return quorum, dual, int(np.sum(_is_sampled(np.linalg.eigvalsh(quorum.elements))))
 
 
 def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target, directions=None):

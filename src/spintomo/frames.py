@@ -12,7 +12,8 @@ its error grows with cond(C), not with cond(G) = cond(C)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .liouville import (
     DimensionMismatchError,
     _frozen,
-    as_operator,
+    _operator_stack,
     hs_norm,
     random_operator,
     superop_from_frame,
@@ -64,43 +65,67 @@ class SingularGramError(ValueError):
 
 
 @dataclass(frozen=True)
-class Quorum:
-    """Ordered family of same-dimension operators with setting labels."""
+class _Frame:
+    """Ordered family of d x d operators, held as one read-only (N, d, d) array."""
 
-    dim: int
-    elements: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        if len(self.elements) < 1:
-            raise ValueError("a quorum needs at least one element")
-        if len(self.labels) != len(self.elements):
-            raise ValueError("labels and elements must have equal length")
-        for c in self.elements:
-            if c.shape != (self.dim, self.dim):
-                raise DimensionMismatchError(
-                    f"element of shape {c.shape} in a dim-{self.dim} quorum"
-                )
+        ops = _operator_stack(self.elements)
+        ops.setflags(write=False)
+        object.__setattr__(self, "elements", ops)
 
-    @classmethod
-    def from_elements(cls, elements: Sequence, labels: Sequence[str] | None = None) -> "Quorum":
-        ops = tuple(_frozen(as_operator(c)) for c in elements)
-        if not ops:
-            raise ValueError("a quorum needs at least one element")
-        if labels is None:
-            labels = tuple(f"C_{n}" for n in range(len(ops)))
-        return cls(dim=ops[0].shape[0], elements=ops, labels=tuple(str(s) for s in labels))
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
     def coefficient_matrix(self) -> np.ndarray:
-        """N x d^2 matrix whose rows are the row-major flattened elements."""
-        return np.stack([c.reshape(-1) for c in self.elements])
+        """N x d^2 read-only view whose rows are the row-major flattened elements."""
+        return self.elements.reshape(len(self), -1)
 
 
 @dataclass(frozen=True)
-class DualFrame:
+class Quorum(_Frame):
+    """Ordered family of same-dimension operators with setting labels.
+
+    Being immutable, a quorum is factorised once: ``svd`` is computed on
+    first use and shared by the rank test, the witness and the Gram dual.
+    """
+
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.labels) != len(self):
+            raise ValueError("labels and elements must have equal length")
+
+    @classmethod
+    def from_elements(cls, elements: Sequence, labels: Sequence[str] | None = None) -> "Quorum":
+        if labels is None:
+            labels = [f"C_{n}" for n in range(len(elements))]
+        return cls(elements, tuple(str(s) for s in labels))
+
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """SVD u, sigma, vh of the coefficient matrix, and its rank.
+
+        ``vh`` is always d^2 x d^2, so its rows past the rank span the null
+        space; ``u`` is N x min(N, d^2), so a tall quorum costs O(N d^2)
+        memory, not O(N^2).
+        """
+        n, d2 = len(self), self.dim * self.dim
+        u, sigma, vh = np.linalg.svd(self.coefficient_matrix(), full_matrices=n < d2)
+        for a in (u, sigma, vh):
+            a.setflags(write=False)  # shared by every caller
+        # sigma is never empty; an all-zero quorum gets rank 0 from the strict ">".
+        return u, sigma, vh, int(np.sum(sigma > RANK_RTOL * sigma[0]))
+
+
+@dataclass(frozen=True)
+class DualFrame(_Frame):
     """Dual operators aligned index-by-index with a quorum.
 
     Dropped (linearly dependent) quorum elements keep their slot with a
@@ -108,30 +133,18 @@ class DualFrame:
     aligned with their duals.
     """
 
-    dim: int
-    elements: tuple[np.ndarray, ...]
     kept_mask: tuple[bool, ...]
 
     def __post_init__(self):
-        if len(self.kept_mask) != len(self.elements):
+        super().__post_init__()
+        if len(self.kept_mask) != len(self):
             raise ValueError("kept_mask and elements must have equal length")
-        for b in self.elements:
-            if b.shape != (self.dim, self.dim):
-                raise DimensionMismatchError(
-                    f"element of shape {b.shape} in a dim-{self.dim} dual frame"
-                )
 
     @classmethod
     def from_elements(cls, elements: Sequence, kept_mask: Sequence[bool] | None = None) -> "DualFrame":
-        ops = tuple(_frozen(as_operator(b)) for b in elements)
-        if not ops:
-            raise ValueError("a dual frame needs at least one element")
         if kept_mask is None:
-            kept_mask = (True,) * len(ops)
-        return cls(dim=ops[0].shape[0], elements=ops, kept_mask=tuple(bool(k) for k in kept_mask))
-
-    def __len__(self) -> int:
-        return len(self.elements)
+            kept_mask = (True,) * len(elements)
+        return cls(elements, tuple(bool(k) for k in kept_mask))
 
 
 @dataclass(frozen=True)
@@ -166,13 +179,6 @@ def _canonical_phase(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _svd(q: Quorum) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Full SVD u, sigma, vh of the coefficient matrix, and its rank."""
-    u, sigma, vh = np.linalg.svd(q.coefficient_matrix(), full_matrices=True)
-    # sigma is never empty; an all-zero quorum gets rank 0 from the strict ">".
-    return u, sigma, vh, int(np.sum(sigma > RANK_RTOL * sigma[0]))
-
-
 def completeness_check(q: Quorum) -> SpanningReport:
     """Rank test of the quorum via singular values.
 
@@ -182,7 +188,7 @@ def completeness_check(q: Quorum) -> SpanningReport:
     returned as the defect witness.
     """
     d2 = q.dim * q.dim
-    _, _, vh, rank = _svd(q)
+    _, _, vh, rank = q.svd
     complete = rank == d2
     witness = None
     if not complete:
@@ -196,9 +202,7 @@ def completeness_check(q: Quorum) -> SpanningReport:
     return report
 
 
-def gram_schmidt_basis(
-    q: Quorum,
-) -> tuple[list[np.ndarray], list[bool], np.ndarray]:
+def gram_schmidt_basis(q: Quorum) -> tuple[np.ndarray, list[bool], np.ndarray]:
     """Orthonormalize the quorum in the Hilbert-Schmidt inner product.
 
     Each element in turn is projected against the basis built so far by
@@ -213,7 +217,7 @@ def gram_schmidt_basis(
 
     Returns
     -------
-    basis : list of ndarray
+    basis : ndarray, shape (n_kept, d, d)
         Orthonormal operators y_k, one per kept element, in input order.
     kept_mask : list of bool
         True where the corresponding quorum element was retained.
@@ -223,7 +227,7 @@ def gram_schmidt_basis(
     """
     n = len(q)
     d2 = q.dim * q.dim
-    vecs = np.asarray(q.coefficient_matrix(), dtype=complex)
+    vecs = q.coefficient_matrix()
     max_norm = float(np.linalg.norm(vecs, axis=1).max())
     if max_norm == 0.0:
         raise ValueError("cannot orthogonalize an all-zero quorum")
@@ -255,8 +259,7 @@ def gram_schmidt_basis(
         r += 1
         kept_mask.append(True)
 
-    basis = list(y[:r].reshape(r, q.dim, q.dim))
-    return basis, kept_mask, t[:r].copy()
+    return y[:r].reshape(r, q.dim, q.dim), kept_mask, t[:r].copy()
 
 
 def dual_via_gram_schmidt(q: Quorum, allow_subspace: bool = False) -> DualFrame:
@@ -272,8 +275,7 @@ def dual_via_gram_schmidt(q: Quorum, allow_subspace: bool = False) -> DualFrame:
     if not report.complete and not allow_subspace:
         raise IncompleteQuorumError(report)
     basis, kept_mask, coeffs = gram_schmidt_basis(q)
-    y = np.reshape(basis, (len(basis), q.dim**2))
-    b_rows = np.conj(coeffs).T @ y  # N x d^2, zero rows at dropped slots
+    b_rows = np.conj(coeffs).T @ basis.reshape(len(basis), -1)  # zero rows at dropped slots
     return DualFrame.from_elements(b_rows.reshape(len(q), q.dim, q.dim), kept_mask)
 
 
@@ -284,15 +286,14 @@ def _gram_dual(q: Quorum, condition_cap: float) -> tuple[DualFrame, float]:
     and cond(G) = (sigma_max / sigma_min)^2; cond(G) >= ``condition_cap``
     raises ``SingularGramError``, so does N > d^2 (G is then singular).
     """
-    u, sigma, vh, _ = _svd(q)
+    u, sigma, vh, _ = q.svd
     n = len(q)
     singular = n > sigma.size or sigma[-1] == 0.0
     condition = float("inf") if singular else float((sigma[0] / sigma[-1]) ** 2)
     if not np.isfinite(condition) or condition >= condition_cap:
         raise SingularGramError(condition)
     b_rows = (u / sigma) @ vh[:n]
-    elements = [b.reshape(q.dim, q.dim) for b in b_rows]
-    return DualFrame.from_elements(elements, (True,) * n), condition
+    return DualFrame.from_elements(b_rows.reshape(n, q.dim, q.dim)), condition
 
 
 def dual_via_gram_inverse(q: Quorum) -> DualFrame:
@@ -317,7 +318,7 @@ def reproducing_kernel_residual(q: Quorum, dual: DualFrame) -> float:
     if q.dim != dual.dim or len(q) != len(dual):
         raise DimensionMismatchError("quorum and dual frame do not align")
     c = q.coefficient_matrix().T
-    b = np.stack([e.reshape(-1) for e in dual.elements], axis=1)
+    b = dual.coefficient_matrix().T
     delta = b.conj().T @ c  # delta[n, n'] = Tr[B_n^dag C_n']
     res_c = np.linalg.norm(c @ delta - c, axis=0).max()
     res_b = np.linalg.norm(b @ delta.conj().T - b, axis=0).max()
@@ -342,7 +343,7 @@ def verify_spanning_definitions(
     base = completeness_check(q)
 
     vc = q.coefficient_matrix().T
-    vb = np.stack([e.reshape(-1) for e in dual.elements], axis=1)
+    vb = dual.coefficient_matrix().T
     superop = superop_from_frame(q.elements, dual.elements)
     identity = np.eye(q.dim * q.dim, dtype=complex)
     res_iii = float(np.abs(superop - identity).max())
@@ -366,11 +367,4 @@ def verify_spanning_definitions(
     }
     verdicts = {name: chk.passed for name, chk in checks.items()}
     agree = len(set(verdicts.values())) == 1
-    return SpanningReport(
-        complete=base.complete,
-        rank=base.rank,
-        rank_required=base.rank_required,
-        defect_witness=base.defect_witness,
-        checks=checks,
-        definitions_agree=agree,
-    )
+    return replace(base, checks=checks, definitions_agree=agree)

@@ -35,6 +35,21 @@ def as_operator(entries) -> np.ndarray:
     return a
 
 
+def _operator_stack(entries) -> np.ndarray:
+    """Coerce ``entries`` to a fresh (N, d, d) complex128 stack with N, d >= 1."""
+    if len(entries) == 0:
+        raise ValueError("a frame needs at least one element")
+    try:
+        a = np.array(entries, dtype=complex)
+    except ValueError as err:
+        raise DimensionMismatchError("frame elements have mixed dimensions") from err
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+        raise DimensionMismatchError(
+            f"frame elements must be nonempty square matrices of one shape, got {a.shape}"
+        )
+    return a
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Read-only copy of ``a`` with its dtype kept."""
     out = np.array(a)
@@ -121,10 +136,8 @@ def op_exp(h: np.ndarray, phase: float) -> np.ndarray:
     return (v * np.exp(1j * phase * w)) @ v.conj().T
 
 
-def superop_from_frame(
-    quorum: Sequence[np.ndarray], dual: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Frame super-operator sum_n |C_n>(B_n| as a d^2 x d^2 matrix.
+def superop_from_frame(quorum, dual) -> np.ndarray:
+    """Frame super-operator sum_n |C_n>(B_n| of two (N, d, d) stacks, as a d^2 x d^2 matrix.
 
     Entry at row (i, j), column (l, k) is sum_n C_n[i, j] * conj(B_n[l, k]),
     rows and columns flattened row-major.  The result equals the d^2
@@ -134,15 +147,10 @@ def superop_from_frame(
         raise DimensionMismatchError(
             f"quorum has {len(quorum)} elements but dual has {len(dual)}"
         )
-    if not quorum:
-        raise ValueError("empty frame")
-    d = quorum[0].shape[0]
-    for c, b in zip(quorum, dual):
-        if c.shape != (d, d) or b.shape != (d, d):
-            raise DimensionMismatchError("frame elements have mixed dimensions")
-    vc = np.stack([np.asarray(c, dtype=complex).reshape(-1) for c in quorum], axis=1)
-    vb = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in dual], axis=1)
-    return vc @ vb.conj().T
+    c, b = _operator_stack(quorum), _operator_stack(dual)
+    if c.shape != b.shape:
+        raise DimensionMismatchError("frame elements have mixed dimensions")
+    return c.reshape(len(c), -1).T @ b.reshape(len(b), -1).conj()
 
 
 def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:

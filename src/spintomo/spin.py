@@ -210,7 +210,7 @@ def pauli_quorum() -> tuple[Quorum, DualFrame]:
     quorum = Quorum.from_elements(
         [sx, sy, sz, eye], labels=["sigma_x", "sigma_y", "sigma_z", "identity"]
     )
-    dual = DualFrame.from_elements([sx / 2, sy / 2, sz / 2, eye / 2])
+    dual = DualFrame.from_elements(quorum.elements / 2)
     return quorum, dual
 
 
@@ -225,7 +225,7 @@ class WeigertQuorum:
     gram_condition: float
 
     @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
+    def projectors(self) -> np.ndarray:
         return self.quorum.elements
 
     def __len__(self) -> int:

@@ -49,3 +49,17 @@ def rodrigues_rotate(vector, axis, angle):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """List that gains one entry per ``np.linalg.svd`` call made during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

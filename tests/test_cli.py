@@ -62,6 +62,13 @@ class TestQuorumCheck:
         result = runner.invoke(main, ["quorum", "check"])
         assert result.exit_code == 2
 
+    def test_one_svd_per_file(self, runner, tmp_path, svd_calls):
+        rng = np.random.default_rng(8)
+        path = write_quorum(tmp_path / "q.json", [random_hermitian(3, rng) for _ in range(9)])
+        result = runner.invoke(main, ["quorum", "check", str(path)])
+        assert result.exit_code == 0, result.output
+        assert svd_calls == [(9, 9)]
+
     def test_report_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["quorum", "check", "--pauli", "--out", str(out)])
@@ -136,7 +143,7 @@ class TestSimulate:
     def test_zero_samples_rejected(self, runner):
         result = runner.invoke(main, ["simulate", "--n-samples", "0"])
         assert result.exit_code == 2
-        assert "n_samples" in result.output
+        assert "error: n_samples must be >= n_blocks" in result.output
 
     def test_pauli_needs_spin_half(self, runner):
         result = runner.invoke(

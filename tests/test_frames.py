@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,8 @@ from spintomo import (
     superop_from_frame,
     verify_spanning_definitions,
 )
-from spintomo.frames import DROP_RTOL
-from spintomo.spin import pauli_quorum
+from spintomo.frames import DROP_RTOL, DualFrame
+from spintomo.spin import make_spin_system, pauli_quorum, tetrahedral_directions, weigert_quorum
 
 from conftest import EYE2, SX, SY, SZ, random_quorum
 
@@ -98,6 +100,43 @@ class TestCompleteness:
         report = completeness_check(q)
         assert not report.complete
         assert max(abs(hs_inner(report.defect_witness, c)) for c in q.elements) <= 1e-10
+
+    def test_tall_incomplete_quorum_has_witness(self, rng):
+        # N > d^2 takes the economy SVD, whose vh is still d^2 x d^2.
+        weights = rng.standard_normal((50, 3))
+        q = Quorum.from_elements(np.einsum("nk,kij->nij", weights, np.array([SX, SY, SZ])))
+        report = completeness_check(q)
+        assert not report.complete and report.rank == 3
+        assert np.abs(report.defect_witness - EYE2 / np.sqrt(2)).max() <= 1e-12
+
+    def test_tall_quorum_memory_linear_in_n(self):
+        n, d = 2000, 2
+        q = random_quorum(d, n, seed=3)
+        tracemalloc.start()
+        try:
+            report = completeness_check(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.complete
+        # A full SVD's N x N factor alone takes 16 N^2 bytes, 64 MB here; the
+        # bound is 16 N x d^2 complex matrices, 2 MB.
+        assert peak <= 16 * (16 * n * d * d)
+
+
+class TestFactorisation:
+    def test_one_svd_per_quorum(self, svd_calls):
+        q = random_quorum(3, 9, seed=5)
+        completeness_check(q)
+        dual = dual_via_gram_schmidt(q)
+        dual_via_gram_inverse(q)
+        verify_spanning_definitions(q, dual)
+        assert svd_calls == [(9, 9)]
+
+    def test_weigert_quorum_reuses_its_svd(self, svd_calls):
+        wq = weigert_quorum(make_spin_system(1), tetrahedral_directions())
+        assert completeness_check(wq.quorum).complete
+        assert svd_calls == [(4, 4)]
 
 
 class TestGramSchmidt:
@@ -353,3 +392,21 @@ class TestQuorumType:
         q = Quorum.from_elements([SX])
         with pytest.raises(ValueError):
             q.elements[0][0, 0] = 5.0
+
+    def test_elements_are_one_readonly_stack(self):
+        q, dual = pauli_quorum()
+        wq = weigert_quorum(make_spin_system(1), tetrahedral_directions())
+        for stack in (q.elements, dual.elements, wq.projectors, wq.dual.elements):
+            assert isinstance(stack, np.ndarray)
+            assert stack.shape == (4, 2, 2) and stack.dtype == complex
+            assert not stack.flags.writeable
+        c = q.coefficient_matrix()
+        assert c.shape == (4, 4) and np.shares_memory(c, q.elements)
+
+    def test_input_array_is_copied(self):
+        ops = np.array([SX, SY, SZ, EYE2])
+        q = Quorum.from_elements(ops)
+        dual = DualFrame.from_elements(ops)
+        ops[0, 0, 0] = 5.0
+        assert ops.flags.writeable
+        assert q.elements[0, 0, 0] == 0 and dual.elements[0, 0, 0] == 0

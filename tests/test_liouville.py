@@ -178,6 +178,21 @@ class TestSuperopFromFrame:
         with pytest.raises(DimensionMismatchError):
             superop_from_frame([SX, SY], [SX])
 
+    def test_operator_stacks(self):
+        stack = np.array([SX, SY, SZ, EYE2])
+        assert np.abs(superop_from_frame(stack, stack / 2) - np.eye(4)).max() <= 1e-15
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            superop_from_frame([SX, np.eye(3)], [SX, np.eye(3)])
+        with pytest.raises(DimensionMismatchError):
+            superop_from_frame([SX], [np.eye(3)])
+
+    def test_empty_frame(self):
+        with pytest.raises(ValueError) as err:
+            superop_from_frame([], [])
+        assert not isinstance(err.value, DimensionMismatchError)
+
 
 class TestValidation:
     def test_as_operator_rejects_nonsquare(self):
