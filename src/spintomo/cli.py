@@ -20,7 +20,6 @@ from .experiments import (
     ExperimentConfig,
     build_runner,
     fig1_series,
-    log_checkpoints,
     resolve_state,
     resolve_target,
     simulate_run,
@@ -107,7 +106,8 @@ def quorum():
 @quorum.command("check")
 @click.argument("quorum_file", required=False, type=click.Path())
 @click.option("--pauli", is_flag=True, help="Use the built-in spin-1/2 Pauli quorum.")
-@click.option("--trials", default=50, show_default=True, help="Random operators per definition test.")
+@click.option("--trials", default=50, show_default=True, type=click.IntRange(min=1),
+              help="Random operators per definition test.")
 @click.option("--seed", default=DEFAULT_SEED, show_default=True)
 @click.option("--out", type=click.Path(), help="Write the JSON report here.")
 def quorum_check(quorum_file, pauli, trials, seed, out):
@@ -130,7 +130,7 @@ def quorum_check(quorum_file, pauli, trials, seed, out):
 @click.option("--method", type=click.Choice(["gs", "gram"]), default="gs", show_default=True,
               help="Gram-Schmidt sweep or Gram-matrix inversion.")
 @click.option("--subspace", is_flag=True,
-              help="Accept an incomplete quorum and build the subspace dual (gs only).")
+              help="Accept an incomplete quorum and build the subspace dual.")
 @click.option("--out", type=click.Path(), help="Write the dual-frame JSON here (default stdout).")
 def quorum_dual(quorum_file, pauli, method, subspace, out):
     """Construct the dual frame and report its residuals."""
@@ -140,6 +140,10 @@ def quorum_dual(quorum_file, pauli, method, subspace, out):
             dual = frames.dual_via_gram_schmidt(q, allow_subspace=subspace)
         else:
             dual = frames.dual_via_gram_inverse(q)
+            # The Gram route inverts any independent set, complete or not.
+            report = frames.completeness_check(q)
+            if not report.complete and not subspace:
+                raise IncompleteQuorumError(report)
     except IncompleteQuorumError as err:
         _print_report(err.report)
         _fail_domain(str(err))
@@ -213,34 +217,27 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
             return flag
         return file_cfg.get(key, default)
 
-    cfg = ExperimentConfig(
-        spin_two_s=int(pick(spin_two_s, "spin_two_s", 1)),
-        state=str(pick(state, "state", "coherent:2")),
-        quorum=str(pick(quorum_spec, "quorum", "pauli")),
-        target=str(pick(target, "target", "sz")),
-        n_samples=int(pick(n_samples, "n_samples", 100000)),
-        n_blocks=int(pick(n_blocks, "n_blocks", 20)),
-        seed=_resolve_seed(seed, file_cfg.get("seed")),
-        checkpoints=_parse_checkpoints(checkpoints)
-        or tuple(int(c) for c in file_cfg.get("checkpoints", ())),
-        directions_file=directions_path or file_cfg.get("directions_file"),
-        weigert_seed=weigert_seed if weigert_seed is not None else file_cfg.get("weigert_seed"),
-    )
-
-    def load_density(path):
-        return serialize.op_from_json_dict(_load_json(path))
-
     try:
+        cfg = ExperimentConfig(
+            spin_two_s=int(pick(spin_two_s, "spin_two_s", 1)),
+            state=str(pick(state, "state", "coherent:2")),
+            quorum=str(pick(quorum_spec, "quorum", "pauli")),
+            target=str(pick(target, "target", "sz")),
+            n_samples=int(pick(n_samples, "n_samples", 100000)),
+            n_blocks=int(pick(n_blocks, "n_blocks", 20)),
+            seed=_resolve_seed(seed, file_cfg.get("seed")),
+            checkpoints=_parse_checkpoints(checkpoints)
+            or tuple(int(c) for c in file_cfg.get("checkpoints", ())),
+            directions_file=directions_path or file_cfg.get("directions_file"),
+            weigert_seed=weigert_seed if weigert_seed is not None else file_cfg.get("weigert_seed"),
+        )
         system = make_spin_system(cfg.spin_two_s)
-        state_val = resolve_state(cfg, system, load_density=load_density)
-        target_op = resolve_target(cfg, system, load_matrix=load_density)
-        directions = None
-        if cfg.directions_file:
-            directions = serialize.directions_from_json_list(_load_json(cfg.directions_file))
-        runner = build_runner(cfg, system, state_val, target_op, directions=directions)
+        state_val = resolve_state(cfg, system)
+        target_op = resolve_target(cfg, system)
+        runner = build_runner(cfg, system, state_val, target_op)
     except (IncompleteQuorumError, SingularGramError) as err:
         _fail_domain(str(err))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, OSError, TypeError, ValueError) as err:
         _fail_parse(str(err))
 
     try:
@@ -281,12 +278,13 @@ def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, out_means, out_errors):
         alpha_val = complex(alpha)
     except ValueError:
         _fail_parse(f"alpha must parse as a complex number, got {alpha!r}")
-    if n_max < 20:
-        _fail_parse("n-max must be at least 20 to fill the statistical blocks")
     seed_val = _resolve_seed(seed, None)
-    rows, _exact = fig1_series(
-        alpha_val, n_max, seed=seed_val, n_blocks=n_blocks, n_checkpoints=n_checkpoints
-    )
+    try:
+        rows, _exact = fig1_series(
+            alpha_val, n_max, seed=seed_val, n_blocks=n_blocks, n_checkpoints=n_checkpoints
+        )
+    except ValueError as err:
+        _fail_parse(str(err))
     serialize.write_csv(
         out_means,
         ["n_samples", "mean_cont", "err_cont", "mean_disc", "err_disc", "exact"],

@@ -57,12 +57,18 @@ class RunStats:
     convention: str | None = None
 
 
-def _state_arrays(state, dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Return (pure amplitudes, density matrix); exactly one is not None."""
+def _state_factors(state, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|.
+
+    The state may be a ``SpinState``, a unit vector or a density matrix;
+    it is checked and factorised here once.  A pure state is one row of
+    weight 1; a density matrix keeps the eigenvectors whose eigenvalues
+    are nonzero at working precision.
+    """
     if isinstance(state, SpinState):
         if state.dim != dim:
             raise DimensionMismatchError(f"state dim {state.dim} != operator dim {dim}")
-        return state.amplitudes, None
+        return np.ones(1), state.amplitudes[None, :]
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         if arr.shape[0] != dim:
@@ -70,37 +76,56 @@ def _state_arrays(state, dim: int) -> tuple[np.ndarray | None, np.ndarray | None
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state vector norm {norm} deviates from 1")
-        return arr, None
+        return np.ones(1), arr[None, :]
     if arr.shape != (dim, dim):
         raise DimensionMismatchError(f"density matrix shape {arr.shape}, expected {(dim, dim)}")
     require_hermitian(arr, "density matrix")
     trace = np.trace(arr).real
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {trace} deviates from 1")
-    if np.linalg.eigvalsh(arr).min() < -1e-10:
+    lam, vec = np.linalg.eigh(arr)
+    if lam.min() < -1e-10:
         raise ValueError("density matrix is not positive semidefinite")
-    return None, arr
+    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
+    return lam[keep], vec[:, keep].T
+
+
+def _expectations(ops: np.ndarray, weights: np.ndarray, rows: np.ndarray):
+    """sum_k weights[k] <rows[k]|op|rows[k]> = Tr[rho op] for an operator or a stack."""
+    return sum(w * (r.conj() @ ops @ r) for w, r in zip(weights, rows))
+
+
+def _born(weights: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Born rows p[f, m] = sum_k weights[k] |amp[f, k, m]|^2 of the state factors."""
+    return np.einsum("k,fkm->fm", weights, amp.real**2 + amp.imag**2)
 
 
 def state_expectation(state, a: np.ndarray) -> complex:
     """Exact mean value Tr[rho a] of the operator on the state."""
     a = np.asarray(a, dtype=complex)
-    psi, rho = _state_arrays(state, a.shape[0])
-    if psi is not None:
-        return complex(psi.conj() @ a @ psi)
-    return complex(np.trace(rho @ a))
+    return complex(_expectations(a, *_state_factors(state, a.shape[0])))
 
 
-def _born_rows(psi: np.ndarray | None, rho: np.ndarray | None, eigvecs: np.ndarray) -> np.ndarray:
-    """Unclipped Born rows p[k, m] = <v_km|rho|v_km> for a stack of eigenbases."""
-    if psi is not None:
-        return np.abs(np.conj(eigvecs).swapaxes(-1, -2) @ psi) ** 2
-    return np.einsum("nik,ij,njk->nk", np.conj(eigvecs), rho, eigvecs).real
+def _target(a: np.ndarray, dim: int) -> np.ndarray:
+    """The target as a complex array, checked Hermitian and of dimension ``dim``."""
+    a = np.asarray(a, dtype=complex)
+    require_hermitian(a, "target operator")
+    if a.shape[0] != dim:
+        raise DimensionMismatchError(f"operator dim {a.shape[0]} != quorum dim {dim}")
+    return a
 
 
-def _block_sizes(total: int, n_blocks: int) -> np.ndarray:
-    """Contiguous near-equal split; the first total % n_blocks blocks are longer."""
-    base, extra = divmod(total, n_blocks)
+def _blocks(budget: int, n_blocks: int, what: str) -> np.ndarray:
+    """Sizes of ``n_blocks`` contiguous near-equal blocks of ``budget`` samples.
+
+    The first budget % n_blocks blocks are one longer.  ``what`` names the
+    budget in the error raised when it cannot fill the blocks.
+    """
+    if n_blocks < 2:
+        raise ValueError("n_blocks must be >= 2")
+    if budget < n_blocks:
+        raise ValueError(f"{what} = {budget} cannot fill {n_blocks} blocks")
+    base, extra = divmod(budget, n_blocks)
     return np.array([base + 1] * extra + [base] * (n_blocks - extra))
 
 
@@ -112,11 +137,7 @@ def block_stats(contributions, n_blocks: int = 20) -> RunStats:
     means divided by sqrt(n_blocks).
     """
     values = np.asarray(contributions, dtype=float)
-    if n_blocks < 2:
-        raise ValueError("n_blocks must be >= 2")
-    if values.size < n_blocks:
-        raise ValueError(f"{values.size} contributions cannot fill {n_blocks} blocks")
-    sizes = _block_sizes(values.size, n_blocks)
+    sizes = _blocks(values.size, n_blocks, "contributions")
     bounds = np.cumsum(sizes)[:-1]
     block_means = np.array([b.mean() for b in np.split(values, bounds)])
     return _stats_from_blocks(block_means, sizes, int(values.size))
@@ -159,13 +180,11 @@ def _block_counts(probs: np.ndarray, sizes: np.ndarray, seed: int):
         yield np.random.default_rng([seed, bi]).multinomial(nb, probs)
 
 
-def _count_block_means(tables, per_setting: int, n_blocks: int, seed: int):
-    """Block means and sizes with ``per_setting`` shots for every setting."""
+def _count_block_means(tables, sizes: np.ndarray, seed: int) -> np.ndarray:
+    """Block means with ``sizes[b]`` shots of every setting in block b."""
     probs, values, constant = tables
-    sizes = _block_sizes(per_setting, n_blocks)
     counts = _block_counts(probs, sizes, seed)
-    means = [constant + float(np.sum(c * values)) / nb for nb, c in zip(sizes, counts)]
-    return np.array(means), sizes
+    return np.array([constant + float(np.sum(c * values)) / nb for nb, c in zip(sizes, counts)])
 
 
 def _exact_contraction(tables) -> float:
@@ -190,13 +209,10 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     distinct eigenvalue (e.g. the identity) contribute that value exactly
     and consume no samples.  All settings are diagonalised in one batch.
     """
-    a = np.asarray(a, dtype=complex)
-    require_hermitian(a, "target operator")
-    if quorum.dim != a.shape[0]:
-        raise DimensionMismatchError(f"quorum dim {quorum.dim} != operator dim {a.shape[0]}")
+    a = _target(a, quorum.dim)
     if dual.dim != quorum.dim or len(dual) != len(quorum):
         raise DimensionMismatchError("dual frame does not align with the quorum")
-    psi, rho = _state_arrays(state, quorum.dim)
+    weights, factors = _state_factors(state, quorum.dim)
     require_hermitian(quorum.elements, [f"quorum element {label!r}" for label in quorum.labels])
     w, v = eig_hermitian(quorum.elements)
     # One vdot per setting: a stacked matrix-vector product sums in another
@@ -209,7 +225,7 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     values = values[sampled]
     if not sampled.any():
         return np.zeros_like(values), values, constant
-    rows = np.clip(_born_rows(psi, rho, v[sampled]), 0.0, 1.0)
+    rows = np.clip(_born(weights, factors.conj() @ v[sampled]), 0.0, 1.0)
     return rows / rows.sum(axis=1, keepdims=True), values, constant
 
 
@@ -238,27 +254,23 @@ def estimate_discrete(
     """
     if selection not in ("quota", "uniform"):
         raise ValueError(f"unknown selection convention {selection!r}")
-    if n_blocks < 2:
-        raise ValueError("n_blocks must be >= 2")
     convention = "per_setting_quota" if selection == "quota" else "uniform_setting"
     probs, values, constant = _discrete_tables(a, quorum, dual, state)
     n_active = probs.shape[0]
     if not n_active:
-        block_means = np.full(n_blocks, constant)
+        # Every setting is exact: n_blocks one-shot blocks of the constant.
+        sizes = _blocks(n_blocks, n_blocks, "n_blocks")
         return _stats_from_blocks(
-            block_means, np.ones(n_blocks, dtype=int), 0, "discrete", seed, convention
+            np.full(n_blocks, constant), sizes, 0, "discrete", seed, convention
         )
-    if samples_per_setting < n_blocks:
-        raise ValueError(
-            f"samples_per_setting = {samples_per_setting} cannot fill {n_blocks} blocks"
-        )
+    sizes = _blocks(samples_per_setting, n_blocks, "samples_per_setting")
     total = samples_per_setting * n_active
     if selection == "uniform":
         # A uniformly drawn setting is one setting whose outcomes are all
         # (setting, outcome) pairs, each worth n_active times its value.
         probs, values = probs.reshape(1, -1) / n_active, n_active * values.reshape(1, -1)
-    budget = samples_per_setting if selection == "quota" else total
-    block_means, sizes = _count_block_means((probs, values, constant), budget, n_blocks, seed)
+        sizes = _blocks(total, n_blocks, "total")
+    block_means = _count_block_means((probs, values, constant), sizes, seed)
     return _stats_from_blocks(block_means, sizes, total, "discrete", seed, convention)
 
 
@@ -303,23 +315,9 @@ def _row_expectations(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.sum(rows.conj() * _rows_times(rows, op.T), axis=-1).real
 
 
-def _state_factors(psi: np.ndarray | None, rho: np.ndarray | None):
-    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|.
-
-    A pure state is one row of weight 1; a density matrix keeps the
-    eigenvectors whose eigenvalues are nonzero at working precision.
-    """
-    if psi is not None:
-        return np.ones(1), psi[None, :]
-    lam, vec = np.linalg.eigh(rho)
-    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
-    return lam[keep], vec[:, keep].T
-
-
 def _direction_born(euler: _EulerRotation, phases, weights, rows) -> np.ndarray:
     """Born probabilities p[f, m] = <R_f m|rho|R_f m> for each direction f."""
-    amp = euler.adjoint_apply(phases, rows)
-    return np.einsum("k,fkm->fm", weights, amp.real**2 + amp.imag**2)
+    return _born(weights, euler.adjoint_apply(phases, rows))
 
 
 def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction) -> float:
@@ -330,10 +328,7 @@ def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction)
     the three diagonal elements at m and m +- 1 because the psi average
     of sin^2(psi/2) e^{-i k psi} vanishes for |k| > 1.
     """
-    a = np.asarray(a, dtype=complex)
-    require_hermitian(a, "target operator")
-    if a.shape[0] != system.dim:
-        raise DimensionMismatchError(f"operator dim {a.shape[0]} != spin dim {system.dim}")
+    a = _target(a, system.dim)
     idx_f = m + system.s
     idx = int(round(idx_f))
     if abs(idx_f - idx) > 1e-9 or not (0 <= idx < system.dim):
@@ -381,21 +376,14 @@ def estimate_continuous(
     (seed, block) and are merged in a fixed order; each block is streamed
     in chunks of bounded size.
     """
-    a = np.asarray(a, dtype=complex)
-    require_hermitian(a, "target operator")
-    if a.shape[0] != system.dim:
-        raise DimensionMismatchError(f"operator dim {a.shape[0]} != spin dim {system.dim}")
-    if n_blocks < 2:
-        raise ValueError("n_blocks must be >= 2")
-    if n_samples < n_blocks:
-        raise ValueError(f"n_samples = {n_samples} cannot fill {n_blocks} blocks")
-    weights, rows = _state_factors(*_state_arrays(state, system.dim))
+    a = _target(a, system.dim)
+    sizes = _blocks(n_samples, n_blocks, "n_samples")
+    weights, rows = _state_factors(state, system.dim)
     euler = _EulerRotation(system)
     d = system.dim
     chunk = max(1, _CHUNK_VALUES // (d * max(3, rows.shape[0])))
     offsets = np.array([-1, 0, 1])
 
-    sizes = _block_sizes(n_samples, n_blocks)
     block_means = np.zeros(n_blocks)
     for bi, nb in enumerate(sizes):
         cos_gen, phi_gen, u_gen = _block_generators(seed, bi, nb)
@@ -422,31 +410,19 @@ def estimate_continuous(
     )
 
 
-def continuous_exact_value(
-    a: np.ndarray,
-    system: SpinSystem,
-    state,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
-) -> float:
+def continuous_exact_value(a: np.ndarray, system: SpinSystem, state) -> float:
     """Direction-and-outcome average of the kernel with exact probabilities.
 
     The integrand is a spherical polynomial of degree <= 4s, so the default
     Gauss-Legendre x trapezoid grid integrates it exactly; the result is
     Tr[rho a] up to roundoff.
     """
-    a = np.asarray(a, dtype=complex)
-    require_hermitian(a, "target operator")
-    if a.shape[0] != system.dim:
-        raise DimensionMismatchError(f"operator dim {a.shape[0]} != spin dim {system.dim}")
-    if n_theta is None:
-        n_theta = system.two_s + 4
-    if n_phi is None:
-        n_phi = 2 * system.two_s + 6
+    a = _target(a, system.dim)
+    n_theta, n_phi = system.two_s + 4, 2 * system.two_s + 6
     cos_nodes, w_cos = np.polynomial.legendre.leggauss(n_theta)
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2 * np.pi / n_phi
-    weights, rows = _state_factors(*_state_arrays(state, system.dim))
+    weights, rows = _state_factors(state, system.dim)
 
     theta = np.repeat(np.arccos(cos_nodes), n_phi)
     phi = np.tile(phi, n_theta)
@@ -469,21 +445,12 @@ def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool
     sum_k p(s, n_k) Tr[a Q^k], and p(s, n_k) = Tr[rho P_k] over the quorum's
     projectors, so no direction is diagonalised.
     """
-    a = np.asarray(a, dtype=complex)
-    require_hermitian(a, "target operator")
-    if a.shape[0] != wq.system.dim:
-        raise DimensionMismatchError(
-            f"operator dim {a.shape[0]} != spin dim {wq.system.dim}"
-        )
+    a = _target(a, wq.system.dim)
     factor = wq.system.s if scale_by_spin else 1.0
     values = np.zeros((len(wq), 2))
     for k, b in enumerate(wq.dual.elements):
         values[k, 0] = factor * _dual_coefficient(b, a, f"direction {k}")
-    psi, rho = _state_arrays(state, wq.system.dim)
-    if psi is not None:
-        top = ((wq.projectors @ psi) @ psi.conj()).real
-    else:
-        top = np.einsum("kij,ji->k", wq.projectors, rho).real
+    top = _expectations(wq.projectors, *_state_factors(state, wq.system.dim)).real
     top = np.clip(top, 0.0, 1.0)
     return np.stack([top, 1.0 - top], axis=1), values, 0.0
 
@@ -506,15 +473,8 @@ def estimate_weigert(
     term by s; that variant fails the exact-probability identity for
     s != 1 and is kept only for comparison.
     """
-    if n_blocks < 2:
-        raise ValueError("n_blocks must be >= 2")
-    if samples_per_direction < n_blocks:
-        raise ValueError(
-            f"samples_per_direction = {samples_per_direction} cannot fill {n_blocks} blocks"
-        )
-    block_means, sizes = _count_block_means(
-        _weigert_tables(a, wq, state, scale_by_spin), samples_per_direction, n_blocks, seed
-    )
+    sizes = _blocks(samples_per_direction, n_blocks, "samples_per_direction")
+    block_means = _count_block_means(_weigert_tables(a, wq, state, scale_by_spin), sizes, seed)
     return _stats_from_blocks(
         block_means, sizes, samples_per_direction * len(wq),
         "weigert", seed, "per_direction_quota",

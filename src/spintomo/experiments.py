@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import serialize
 from .estimator import (
     _is_sampled,
     estimate_continuous,
@@ -56,102 +57,89 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def log_checkpoints(n_max: int, count: int = 20, start: int = 100) -> list[int]:
-    """Log-spaced integer sample budgets from ``start`` to ``n_max``."""
-    if n_max <= start:
+def log_checkpoints(n_max: int, count: int = 20) -> list[int]:
+    """Up to ``count`` log-spaced integer sample budgets from 100 to ``n_max``."""
+    if count < 1:
+        raise ValueError(f"the checkpoint count must be >= 1, got {count}")
+    if n_max <= 100:
         return [int(n_max)]
-    raw = np.geomspace(start, n_max, count)
+    raw = np.geomspace(100, n_max, count)
     vals = sorted(set(int(round(v)) for v in raw))
     vals[-1] = int(n_max)
     return vals
 
 
-def resolve_state(cfg: ExperimentConfig, system: SpinSystem, load_density=None) -> SpinState | np.ndarray:
+def _load_operator(path: str) -> np.ndarray:
+    return serialize.op_from_json_dict(serialize.load_json_file(path))
+
+
+def resolve_state(cfg: ExperimentConfig, system: SpinSystem) -> SpinState | np.ndarray:
     kind, _, arg = cfg.state.partition(":")
     if kind == "coherent":
         return coherent_state(system, complex(arg or "0"))
     if kind == "basis":
         return basis_state(system, float(arg))
     if kind == "density":
-        if load_density is None:
-            raise ValueError("density state requires a matrix file loader")
-        return load_density(arg)
+        return _load_operator(arg)
     raise ValueError(f"unknown state spec {cfg.state!r}; use coherent:A, basis:M or density:PATH")
 
 
-def resolve_target(cfg: ExperimentConfig, system: SpinSystem, load_matrix=None) -> np.ndarray:
+def resolve_target(cfg: ExperimentConfig, system: SpinSystem) -> np.ndarray:
     if cfg.target in ("sx", "sy", "sz"):
         return getattr(system, cfg.target)
     kind, _, arg = cfg.target.partition(":")
     if kind == "file":
-        if load_matrix is None:
-            raise ValueError("file target requires a matrix file loader")
-        return require_hermitian(load_matrix(arg), "target operator")
+        return require_hermitian(_load_operator(arg), "target operator")
     raise ValueError(f"unknown target spec {cfg.target!r}; use sx, sy, sz or file:PATH")
 
 
-def _pauli_pair():
-    """The Pauli quorum, its dual and the number of its sampled settings."""
-    quorum, dual = pauli_quorum()
-    return quorum, dual, int(np.sum(_is_sampled(np.linalg.eigvalsh(quorum.elements))))
-
-
-def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target, directions=None):
+def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
     """Return run(n_samples, seed) -> RunStats for the configured quorum.
 
-    ``n_samples`` is the total sample budget; quorums with per-setting
-    quotas divide it evenly over their sampled settings.
+    ``n_samples`` is the total sample budget.  The Pauli and Weigert
+    quorums give each of their n_active sampled settings the quota
+    n_samples // n_active, which must fill the blocks.
     """
+    if cfg.quorum == "continuous":
+        return lambda n, seed: estimate_continuous(
+            target, system, state, n, n_blocks=cfg.n_blocks, seed=seed
+        )
     if cfg.quorum == "pauli":
         if cfg.spin_two_s != 1:
             raise ValueError("the Pauli quorum requires spin_two_s = 1")
-        quorum, dual, n_active = _pauli_pair()
+        quorum, dual = pauli_quorum()
+        n_active = int(np.sum(_is_sampled(np.linalg.eigvalsh(quorum.elements))))
+        unit = "setting"
 
-        def run(n: int, seed: int):
-            per_setting = n // n_active
-            if per_setting < cfg.n_blocks:
-                raise ValueError(
-                    f"n_samples = {n} gives {per_setting} per setting, "
-                    f"below n_blocks = {cfg.n_blocks}"
-                )
+        def estimate(quota: int, seed: int):
             return estimate_discrete(
-                target, quorum, dual, state, per_setting,
-                n_blocks=cfg.n_blocks, seed=seed,
+                target, quorum, dual, state, quota, n_blocks=cfg.n_blocks, seed=seed
             )
-
-        return run
-
-    if cfg.quorum == "continuous":
-        def run(n: int, seed: int):
-            return estimate_continuous(
-                target, system, state, n, n_blocks=cfg.n_blocks, seed=seed
-            )
-
-        return run
-
-    if cfg.quorum == "weigert":
-        if directions is None:
-            if cfg.weigert_seed is None:
-                raise ValueError(
-                    "the Weigert quorum needs a directions file or a weigert_seed"
-                )
+    elif cfg.quorum == "weigert":
+        if cfg.directions_file:
+            doc = serialize.load_json_file(cfg.directions_file)
+            directions = serialize.directions_from_json_list(doc)
+        elif cfg.weigert_seed is not None:
             directions = random_directions(system.dim**2, cfg.weigert_seed)
+        else:
+            raise ValueError("the Weigert quorum needs a directions file or a weigert_seed")
         wq = weigert_quorum(system, directions)
+        n_active, unit = len(wq), "direction"
 
-        def run(n: int, seed: int):
-            per_direction = n // len(wq)
-            if per_direction < cfg.n_blocks:
-                raise ValueError(
-                    f"n_samples = {n} gives {per_direction} per direction, "
-                    f"below n_blocks = {cfg.n_blocks}"
-                )
-            return estimate_weigert(
-                target, wq, state, per_direction, n_blocks=cfg.n_blocks, seed=seed
+        def estimate(quota: int, seed: int):
+            return estimate_weigert(target, wq, state, quota, n_blocks=cfg.n_blocks, seed=seed)
+    else:
+        raise ValueError(f"unknown quorum spec {cfg.quorum!r}; use pauli, continuous or weigert")
+
+    def run(n: int, seed: int):
+        quota = n // n_active
+        if quota < cfg.n_blocks:
+            raise ValueError(
+                f"n_samples = {n} gives {quota} per {unit}, below n_blocks = {cfg.n_blocks}"
             )
+        return estimate(quota, seed)
 
-        return run
-
-    raise ValueError(f"unknown quorum spec {cfg.quorum!r}; use pauli, continuous or weigert")
+    return run
 
 
 def simulate_run(cfg: ExperimentConfig, state, target, runner):
@@ -178,22 +166,20 @@ def fig1_series(
 
     Returns (rows, exact) with one row
     (n_samples, mean_cont, err_cont, mean_disc, err_disc, exact)
-    per log-spaced checkpoint.
+    per log-spaced checkpoint.  Both series run through ``build_runner``,
+    so a budget that cannot fill the blocks raises ``ValueError``.
     """
     system = make_spin_system(1)
     state = coherent_state(system, alpha)
     target = system.sz
     exact = float(state_expectation(state, target).real)
-    quorum, dual, n_active = _pauli_pair()
+    cont, disc = (
+        build_runner(ExperimentConfig(quorum=q, n_blocks=n_blocks), system, state, target)
+        for q in ("continuous", "pauli")
+    )
 
     rows = []
     for i, n in enumerate(log_checkpoints(n_max, n_checkpoints)):
-        cont = estimate_continuous(
-            target, system, state, n, n_blocks=n_blocks, seed=derived_seed(seed, 0, i)
-        )
-        disc = estimate_discrete(
-            target, quorum, dual, state, max(n_blocks, n // n_active),
-            n_blocks=n_blocks, seed=derived_seed(seed, 1, i),
-        )
-        rows.append((n, cont.mean, cont.error_bar, disc.mean, disc.error_bar, exact))
+        c_stats, d_stats = cont(n, derived_seed(seed, 0, i)), disc(n, derived_seed(seed, 1, i))
+        rows.append((n, c_stats.mean, c_stats.error_bar, d_stats.mean, d_stats.error_bar, exact))
     return rows, exact

@@ -69,6 +69,12 @@ class TestQuorumCheck:
         assert result.exit_code == 0, result.output
         assert svd_calls == [(9, 9)]
 
+    def test_trials_must_be_positive(self, runner):
+        # zero trials would report definitions i and iv as passed untested
+        result = runner.invoke(main, ["quorum", "check", "--pauli", "--trials", "0"])
+        assert result.exit_code == 2
+        assert "--trials" in result.output
+
     def test_report_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["quorum", "check", "--pauli", "--out", str(out)])
@@ -115,6 +121,13 @@ class TestQuorumDual:
         assert result.exit_code == 1
         ok = runner.invoke(main, ["quorum", "dual", str(path), "--subspace"])
         assert ok.exit_code == 0
+        # the Gram route inverts the independent set, but is refused the same way
+        args = ["quorum", "dual", str(path), "--method", "gram"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "rank 3 < required 4" in result.output
+        ok = runner.invoke(main, args + ["--subspace"])
+        assert ok.exit_code == 0, ok.output
 
     def test_duplicate_projectors_singular(self, runner, tmp_path):
         sys_ = make_spin_system(1)
@@ -228,6 +241,23 @@ class TestSimulate:
         doc = json.loads(out.read_text())
         assert doc["seed"] == 42 and "threads" not in doc
 
+    @pytest.mark.parametrize(
+        "doc", [{"n_samples": "abc"}, {"seed": "x"}, {"checkpoints": 5}]
+    )
+    def test_config_wrong_type_rejected(self, runner, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_missing_density_file(self, runner, tmp_path):
+        missing = tmp_path / "none.json"
+        result = runner.invoke(main, ["simulate", "--state", f"density:{missing}"])
+        assert result.exit_code == 2
+        assert "No such file" in result.output
+
     def test_continuous_with_checkpoints_csv(self, runner, tmp_path):
         out = tmp_path / "run.json"
         csv = tmp_path / "series.csv"
@@ -338,3 +368,21 @@ class TestFig1:
     def test_alpha_parse_error(self, runner):
         result = runner.invoke(main, ["fig1", "--alpha", "spam"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n-blocks", "1"], "n_blocks must be >= 2"),
+            (["--n-max", "30", "--n-blocks", "50"], "n_samples = 30 cannot fill 50 blocks"),
+            (["--n-max", "1000", "--n-blocks", "200"], "n_samples = 100 cannot fill 200 blocks"),
+            (["--checkpoints", "0"], "the checkpoint count must be >= 1, got 0"),
+            # the Pauli series spends n // 3 per setting, as simulate does
+            (["--n-max", "50"], "n_samples = 50 gives 16 per setting, below n_blocks = 20"),
+        ],
+    )
+    def test_bad_budget_exits_2(self, runner, tmp_path, args, message):
+        outs = ["--out-means", str(tmp_path / "m.csv"), "--out-errors", str(tmp_path / "e.csv")]
+        result = runner.invoke(main, ["fig1", *args, *outs])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+        assert not (tmp_path / "m.csv").exists()

@@ -85,6 +85,39 @@ class TestBornDistribution:
         assert np.abs(row - np.diag(rho).real).max() <= 1e-14
 
 
+class TestStateFactors:
+    def test_state_forms_agree(self, rng):
+        sys_ = make_spin_system(3)
+        state = coherent_state(sys_, 0.6 + 0.2j)
+        a = random_hermitian(4, rng)
+        forms = (state, state.amplitudes, state.density_matrix())
+        values = [state_expectation(form, a) for form in forms]
+        assert max(abs(v - values[0]) for v in values) <= 1e-14
+
+    def test_rank_deficient_density_keeps_its_support(self, rng):
+        basis, _ = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+        rho = 0.25 * np.outer(basis[:, 0], basis[:, 0].conj())
+        rho += 0.75 * np.outer(basis[:, 1], basis[:, 1].conj())
+        weights, rows = _state_factors(rho, 3)
+        assert rows.shape == (2, 3)
+        assert np.allclose(np.sort(weights), [0.25, 0.75], atol=1e-14)
+        assert np.abs((rows.T * weights) @ rows.conj() - rho).max() <= 1e-14
+
+    def test_one_diagonalisation_per_density_matrix(self, rng, monkeypatch):
+        sys_ = make_spin_system(3)
+        rho = random_density(4, rng)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(h, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.shape(h) == rho.shape and np.array_equal(h, rho):
+                    calls.append(_name)
+                return _original(h, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        estimate_continuous(sys_.sz, sys_, rho, 100)
+        assert calls == ["eigh"]
+
+
 class TestSampling:
     def test_deterministic_distribution(self, spin_half):
         stats = _single_setting_run(spin_half.sz, basis_state(spin_half, 0.5), 200, seed=7)
@@ -399,9 +432,8 @@ class TestContinuousEulerRoute:
         phi = rng.uniform(0.0, 2 * np.pi, size=50)
         sin_t = np.sqrt(1.0 - cos_t**2)
         for state in _pure_and_mixed(sys_, rng).values():
-            psi, rho = (state, None) if state.ndim == 1 else (None, state)
             got = _direction_born(euler, euler.phases(np.arccos(cos_t), phi),
-                                  *_state_factors(psi, rho))
+                                  *_state_factors(state, sys_.dim))
             dm = np.outer(state, state.conj()) if state.ndim == 1 else state
             for f in range(cos_t.size):
                 h = sys_.spin_along(np.array([sin_t[f] * np.cos(phi[f]),
