@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``quorum check``, ``quorum dual``, ``simulate``, ``fig1``.
-Exit codes: 0 success / complete, 1 domain negative result (incomplete
-quorum, singular Gram matrix, non-real dual coefficient), 2 usage or parse
-error.  All file outputs are byte-stable for identical inputs and seeds.
+All file outputs are byte-stable for identical inputs and seeds.  Exit codes
+are decided in one place, the ``_Main`` group below, which states the policy.
 """
 
 from __future__ import annotations
@@ -15,49 +14,33 @@ import click
 import numpy as np
 
 from . import frames, serialize
-from .experiments import (
-    DEFAULT_SEED,
-    ExperimentConfig,
-    build_runner,
-    fig1_series,
-    resolve_state,
-    resolve_target,
-    simulate_run,
-)
+from .experiments import DEFAULT_SEED, ExperimentConfig, fig1_series, simulate_run
 from .estimator import DualCoefficientError
 from .frames import IncompleteQuorumError, SingularGramError, Quorum
-from .spin import make_spin_system, pauli_quorum
-
-
-def _fail_parse(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
-def _fail_domain(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
-def _load_json(path: str):
-    try:
-        return serialize.load_json_file(path)
-    except (OSError, ValueError) as err:
-        _fail_parse(str(err))
+from .spin import pauli_quorum
 
 
 def _resolve_quorum(quorum_file: str | None, pauli: bool) -> Quorum:
     if pauli and quorum_file:
-        _fail_parse("give either a quorum file or --pauli, not both")
+        raise ValueError("give either a quorum file or --pauli, not both")
     if pauli:
         return pauli_quorum()[0]
     if not quorum_file:
-        _fail_parse("a quorum file or --pauli is required")
-    doc = _load_json(quorum_file)
+        raise ValueError("a quorum file or --pauli is required")
+    doc = serialize.load_json_file(quorum_file)
     try:
         return serialize.quorum_from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as err:
-        _fail_parse(f"{quorum_file}: not a valid quorum document: {err}")
+        raise ValueError(f"{quorum_file}: not a valid quorum document: {err}") from err
+
+
+def _write(text: str, path: str | None):
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _report_json(report: frames.SpanningReport) -> dict:
@@ -93,7 +76,35 @@ def _print_report(report: frames.SpanningReport):
         click.echo(np.array2string(report.defect_witness, precision=6, suppress_small=True))
 
 
-@click.group()
+class _Main(click.Group):
+    """The exit-code policy of every command, decided in ``invoke``.
+
+    Exit 0 is success (for ``quorum check``, a complete quorum).  Exit 1 is a
+    negative domain result: an incomplete quorum, a Gram matrix too singular
+    to invert, a non-real dual coefficient.  Exit 2 is input that describes
+    no problem: a bad value, a missing or malformed file, an unwritable
+    output path.  Both print one ``error:`` line on stderr.  Any other
+    exception is a bug and keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (IncompleteQuorumError, SingularGramError, DualCoefficientError) as err:
+            message, code = str(err), 1
+            if isinstance(err, IncompleteQuorumError):
+                _print_report(err.report)
+                # the library names its Python argument; the CLI has a flag
+                message = message.replace("allow_subspace=True", "--subspace")
+        except (KeyError, OSError, TypeError, ValueError) as err:
+            if isinstance(err, BrokenPipeError):
+                raise  # click's own closed-pipe handling
+            message, code = str(err), 2
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
+
+
+@click.group(cls=_Main)
 def main():
     """Operator-frame tomography toolkit for spin systems."""
 
@@ -119,8 +130,7 @@ def quorum_check(quorum_file, pauli, trials, seed, out):
         report = frames.verify_spanning_definitions(q, dual, trials=trials, seed=seed)
     _print_report(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(_report_json(report)))
+        _write(serialize.dumps(_report_json(report)), out)
     sys.exit(0 if report.complete else 1)
 
 
@@ -135,31 +145,20 @@ def quorum_check(quorum_file, pauli, trials, seed, out):
 def quorum_dual(quorum_file, pauli, method, subspace, out):
     """Construct the dual frame and report its residuals."""
     q = _resolve_quorum(quorum_file, pauli)
-    try:
-        if method == "gs":
-            dual = frames.dual_via_gram_schmidt(q, allow_subspace=subspace)
-        else:
-            dual = frames.dual_via_gram_inverse(q)
-            # The Gram route inverts any independent set, complete or not.
-            report = frames.completeness_check(q)
-            if not report.complete and not subspace:
-                raise IncompleteQuorumError(report)
-    except IncompleteQuorumError as err:
-        _print_report(err.report)
-        _fail_domain(str(err))
-    except SingularGramError as err:
-        _fail_domain(str(err))
+    if method == "gs":
+        dual = frames.dual_via_gram_schmidt(q, allow_subspace=subspace)
+    else:
+        dual = frames.dual_via_gram_inverse(q)
+        # The Gram route inverts any independent set, complete or not.
+        report = frames.completeness_check(q)
+        if not report.complete and not subspace:
+            raise IncompleteQuorumError(report)
     duality = frames.reproducing_kernel_residual(q, dual)
     superop = frames.superop_from_frame(q.elements, dual.elements)
     frame_res = float(np.abs(superop - np.eye(q.dim**2)).max())
     click.echo(f"duality residual: {duality:.3e}", err=True)
     click.echo(f"frame identity residual: {frame_res:.3e}", err=True)
-    doc = serialize.dumps(serialize.dual_to_json_dict(dual, labels=q.labels))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    else:
-        click.echo(doc, nl=False)
+    _write(serialize.dumps(serialize.dual_to_json_dict(dual, labels=q.labels)), out)
 
 
 def _resolve_seed(flag_seed, file_seed):
@@ -171,8 +170,8 @@ def _resolve_seed(flag_seed, file_seed):
     if env is not None:
         try:
             return int(env)
-        except ValueError:
-            _fail_parse(f"TOMO_SEED must be an integer, got {env!r}")
+        except ValueError as err:
+            raise ValueError(f"TOMO_SEED must be an integer, got {env!r}") from err
     return DEFAULT_SEED
 
 
@@ -181,8 +180,8 @@ def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
         return ()
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        _fail_parse(f"checkpoints must be comma-separated integers, got {text!r}")
+    except ValueError as err:
+        raise ValueError(f"checkpoints must be comma-separated integers, got {text!r}") from err
 
 
 @main.command()
@@ -205,56 +204,33 @@ def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
 def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_blocks,
              seed, checkpoints, directions_path, weigert_seed, out, csv_path):
     """Run one configured Monte Carlo reconstruction."""
-    file_cfg = {}
-    if config_path:
-        doc = _load_json(config_path)
-        if not isinstance(doc, dict):
-            _fail_parse(f"{config_path}: config must be a JSON object")
-        file_cfg = doc
+    file_cfg = serialize.load_json_file(config_path) if config_path else {}
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"{config_path}: config must be a JSON object")
+    defaults = ExperimentConfig()
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
+    def pick(flag, key):
+        """The flag if given, else the config file's value, else the default."""
+        return flag if flag is not None else file_cfg.get(key, getattr(defaults, key))
 
-    try:
-        cfg = ExperimentConfig(
-            spin_two_s=int(pick(spin_two_s, "spin_two_s", 1)),
-            state=str(pick(state, "state", "coherent:2")),
-            quorum=str(pick(quorum_spec, "quorum", "pauli")),
-            target=str(pick(target, "target", "sz")),
-            n_samples=int(pick(n_samples, "n_samples", 100000)),
-            n_blocks=int(pick(n_blocks, "n_blocks", 20)),
-            seed=_resolve_seed(seed, file_cfg.get("seed")),
-            checkpoints=_parse_checkpoints(checkpoints)
-            or tuple(int(c) for c in file_cfg.get("checkpoints", ())),
-            directions_file=directions_path or file_cfg.get("directions_file"),
-            weigert_seed=weigert_seed if weigert_seed is not None else file_cfg.get("weigert_seed"),
-        )
-        system = make_spin_system(cfg.spin_two_s)
-        state_val = resolve_state(cfg, system)
-        target_op = resolve_target(cfg, system)
-        runner = build_runner(cfg, system, state_val, target_op)
-    except (IncompleteQuorumError, SingularGramError) as err:
-        _fail_domain(str(err))
-    except (KeyError, OSError, TypeError, ValueError) as err:
-        _fail_parse(str(err))
-
-    try:
-        stats, rows, exact = simulate_run(cfg, state_val, target_op, runner)
-    except (IncompleteQuorumError, SingularGramError, DualCoefficientError) as err:
-        _fail_domain(str(err))
-    except ValueError as err:
-        _fail_parse(str(err))
-
+    cfg = ExperimentConfig(
+        spin_two_s=int(pick(spin_two_s, "spin_two_s")),
+        state=str(pick(state, "state")),
+        quorum=str(pick(quorum_spec, "quorum")),
+        target=str(pick(target, "target")),
+        n_samples=int(pick(n_samples, "n_samples")),
+        n_blocks=int(pick(n_blocks, "n_blocks")),
+        seed=_resolve_seed(seed, file_cfg.get("seed")),
+        checkpoints=tuple(
+            int(c) for c in pick(_parse_checkpoints(checkpoints) or None, "checkpoints")
+        ),
+        directions_file=pick(directions_path, "directions_file"),
+        weigert_seed=pick(weigert_seed, "weigert_seed"),
+    )
+    stats, rows, exact = simulate_run(cfg)
     doc = serialize.run_stats_to_json_dict(stats)
     doc["exact"] = float(exact)
-    rendered = serialize.dumps(doc)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        click.echo(rendered, nl=False)
+    _write(serialize.dumps(doc), out)
     if csv_path:
         serialize.write_csv(csv_path, ["n_samples", "mean", "error_bar", "exact"], rows)
 
@@ -276,15 +252,12 @@ def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, out_means, out_errors):
     """
     try:
         alpha_val = complex(alpha)
-    except ValueError:
-        _fail_parse(f"alpha must parse as a complex number, got {alpha!r}")
-    seed_val = _resolve_seed(seed, None)
-    try:
-        rows, _exact = fig1_series(
-            alpha_val, n_max, seed=seed_val, n_blocks=n_blocks, n_checkpoints=n_checkpoints
-        )
     except ValueError as err:
-        _fail_parse(str(err))
+        raise ValueError(f"alpha must parse as a complex number, got {alpha!r}") from err
+    seed_val = _resolve_seed(seed, None)
+    rows, _exact = fig1_series(
+        alpha_val, n_max, seed=seed_val, n_blocks=n_blocks, n_checkpoints=n_checkpoints
+    )
     serialize.write_csv(
         out_means,
         ["n_samples", "mean_cont", "err_cont", "mean_disc", "err_disc", "exact"],

@@ -98,8 +98,15 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
 
     ``n_samples`` is the total sample budget.  The Pauli and Weigert
     quorums give each of their n_active sampled settings the quota
-    n_samples // n_active, which must fill the blocks.
+    n_samples // n_active, which must fill the blocks.  The Weigert inputs
+    (a directions file or seed) are refused for the other quorums.
     """
+    if cfg.quorum in ("pauli", "continuous"):
+        for key in ("directions_file", "weigert_seed"):
+            if getattr(cfg, key) is not None:
+                raise ValueError(
+                    f"{key} applies only to the Weigert quorum, not to quorum {cfg.quorum!r}"
+                )
     if cfg.quorum == "continuous":
         return lambda n, seed: estimate_continuous(
             target, system, state, n, n_blocks=cfg.n_blocks, seed=seed
@@ -142,10 +149,11 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
     return run
 
 
-def simulate_run(cfg: ExperimentConfig, state, target, runner):
-    """Main estimate plus optional checkpoint series (n, mean, err, exact)."""
-    if cfg.n_samples < cfg.n_blocks:
-        raise ValueError("n_samples must be >= n_blocks")
+def simulate_run(cfg: ExperimentConfig):
+    """Run ``cfg``: main estimate plus optional checkpoint series (n, mean, err, exact)."""
+    system = make_spin_system(cfg.spin_two_s)
+    state, target = resolve_state(cfg, system), resolve_target(cfg, system)
+    runner = build_runner(cfg, system, state, target)
     exact = float(state_expectation(state, target).real)
     rows = []
     for i, n in enumerate(cfg.checkpoints):

@@ -119,6 +119,8 @@ class TestQuorumDual:
         path = write_quorum(tmp_path / "q.json", [SX, SY, SZ])
         result = runner.invoke(main, ["quorum", "dual", str(path)])
         assert result.exit_code == 1
+        # the refusal names the CLI flag, not the library's argument
+        assert "--subspace" in result.output and "allow_subspace" not in result.output
         ok = runner.invoke(main, ["quorum", "dual", str(path), "--subspace"])
         assert ok.exit_code == 0
         # the Gram route inverts the independent set, but is refused the same way
@@ -154,9 +156,13 @@ class TestSimulate:
         assert doc["exact"] == pytest.approx(-np.cos(4) / 2)
 
     def test_zero_samples_rejected(self, runner):
+        # one budget rule per quorum: the Pauli quota, the continuous blocks
         result = runner.invoke(main, ["simulate", "--n-samples", "0"])
         assert result.exit_code == 2
-        assert "error: n_samples must be >= n_blocks" in result.output
+        assert "error: n_samples = 0 gives 0 per setting, below n_blocks = 20" in result.output
+        result = runner.invoke(main, ["simulate", "--quorum", "continuous", "--n-samples", "10"])
+        assert result.exit_code == 2
+        assert "error: n_samples = 10 cannot fill 20 blocks" in result.output
 
     def test_pauli_needs_spin_half(self, runner):
         result = runner.invoke(
@@ -184,6 +190,25 @@ class TestSimulate:
         )
         assert result.exit_code == 1
         assert "coincide" in result.output
+
+    @pytest.mark.parametrize(
+        "args, cfg, message",
+        [
+            (["--quorum", "pauli", "--weigert-seed", "3"], {},
+             "weigert_seed applies only to the Weigert quorum, not to quorum 'pauli'"),
+            ([], {"quorum": "continuous", "directions_file": "dirs.json"},
+             "directions_file applies only to the Weigert quorum, not to quorum 'continuous'"),
+        ],
+        ids=["flag", "config-key"],
+    )
+    def test_weigert_inputs_refused_for_other_quorums(self, runner, tmp_path, args, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(
+            main, ["simulate", "--config", str(path), "--n-samples", "600", *args]
+        )
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
 
     def test_weigert_seeded_run(self, runner, tmp_path):
         out = tmp_path / "run.json"
@@ -386,3 +411,22 @@ class TestFig1:
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
         assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--n-samples", "600", "--out", "{bad}"],
+        ["simulate", "--n-samples", "600", "--checkpoints", "100", "--csv", "{bad}"],
+        ["quorum", "check", "--pauli", "--out", "{bad}"],
+        ["quorum", "dual", "--pauli", "--out", "{bad}"],
+        ["fig1", "--n-max", "500", "--out-means", "{bad}", "--out-errors", "{ok}"],
+    ],
+    ids=["simulate-out", "simulate-csv", "check-out", "dual-out", "fig1-out-means"],
+)
+def test_unwritable_output_exits_2(runner, tmp_path, args):
+    paths = {"bad": tmp_path / "missing" / "out", "ok": tmp_path / "ok.csv"}
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 2, result.output
+    assert "error: [Errno 2] No such file or directory" in result.output
+    assert isinstance(result.exception, SystemExit)
