@@ -43,6 +43,27 @@ def _write(text: str, path: str | None):
         click.echo(text, nl=False)
 
 
+def _open_outputs(*paths: str | None):
+    """Open every given output path before a command writes any of them.
+
+    A path that cannot be opened raises, and the files created here are
+    removed again, so a failed command leaves no half-written set of
+    outputs.  Opening for appending leaves existing files as they were.
+    """
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def _report_json(report: frames.SpanningReport) -> dict:
     doc = {
         "complete": report.complete,
@@ -175,6 +196,13 @@ def _resolve_seed(flag_seed, file_seed):
     return DEFAULT_SEED
 
 
+def _optional_int(value, key: str) -> int | None:
+    """``value`` if it is None or an integer; a bool, float or string is refused."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
@@ -225,11 +253,12 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
             int(c) for c in pick(_parse_checkpoints(checkpoints) or None, "checkpoints")
         ),
         directions_file=pick(directions_path, "directions_file"),
-        weigert_seed=pick(weigert_seed, "weigert_seed"),
+        weigert_seed=_optional_int(pick(weigert_seed, "weigert_seed"), "weigert_seed"),
     )
     stats, rows, exact = simulate_run(cfg)
     doc = serialize.run_stats_to_json_dict(stats)
     doc["exact"] = float(exact)
+    _open_outputs(out, csv_path)
     _write(serialize.dumps(doc), out)
     if csv_path:
         serialize.write_csv(csv_path, ["n_samples", "mean", "error_bar", "exact"], rows)
@@ -258,6 +287,7 @@ def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, out_means, out_errors):
     rows, _exact = fig1_series(
         alpha_val, n_max, seed=seed_val, n_blocks=n_blocks, n_checkpoints=n_checkpoints
     )
+    _open_outputs(out_means, out_errors)
     serialize.write_csv(
         out_means,
         ["n_samples", "mean_cont", "err_cont", "mean_disc", "err_disc", "exact"],

@@ -9,12 +9,12 @@ stream into contiguous blocks.
 
 Three quorums are supported: a generic discrete quorum of Hermitian
 observables with its dual frame, the continuous spin-direction quorum
-(one random direction per sample, with the direction integral reduced to
-a closed-form outcome kernel), and the Weigert projector quorum.  The
-discrete and Weigert estimators see a block only through the count of each
-(setting, outcome) pair, which is multinomial with the Born probabilities,
-so they draw those counts directly and their cost does not grow with the
-sample budget.
+(directions drawn from the exact quadrature grid of the direction average,
+with the rotation integral reduced to a closed-form outcome kernel), and
+the Weigert projector quorum.  Every estimator sees a block only through
+the count of each (setting, outcome) pair, which is multinomial with the
+Born probabilities, so it draws those counts directly and its cost does
+not grow with the sample budget.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .frames import DualFrame, Quorum
 from .liouville import DimensionMismatchError, eig_hermitian, require_hermitian
-from .spin import Direction, SpinState, SpinSystem, WeigertQuorum, _EulerRotation, _rows_times
+from .spin import Direction, SpinState, SpinSystem, WeigertQuorum, _EulerRotation
 
 
 class DualCoefficientError(ValueError):
@@ -95,11 +95,6 @@ def _expectations(ops: np.ndarray, weights: np.ndarray, rows: np.ndarray):
     return sum(w * (r.conj() @ ops @ r) for w, r in zip(weights, rows))
 
 
-def _born(weights: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Born rows p[f, m] = sum_k weights[k] |amp[f, k, m]|^2 of the state factors."""
-    return np.einsum("k,fkm->fm", weights, amp.real**2 + amp.imag**2)
-
-
 def state_expectation(state, a: np.ndarray) -> complex:
     """Exact mean value Tr[rho a] of the operator on the state."""
     a = np.asarray(a, dtype=complex)
@@ -166,10 +161,10 @@ def _stats_from_blocks(
 
 
 # ---------------------------------------------------------------------------
-# count engine of the discrete and Weigert quorums.  A table (probs, values,
-# constant) measures setting k with the clipped, normalised Born row
-# probs[k], where outcome m adds values[k, m]; constant is the exact share of
-# settings that need no samples.
+# count engine of every quorum.  A table (probs, values, constant) measures
+# setting k with the clipped, normalised Born row probs[k], where outcome m
+# adds values[k, m]; constant is the exact share of settings that need no
+# samples.
 
 def _block_counts(probs: np.ndarray, sizes: np.ndarray, seed: int):
     """Outcome counts of each block: ``nb`` shots of every setting per block.
@@ -225,7 +220,9 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     values = values[sampled]
     if not sampled.any():
         return np.zeros_like(values), values, constant
-    rows = np.clip(_born(weights, factors.conj() @ v[sampled]), 0.0, 1.0)
+    # Born rows p[x, m] = sum_k weights[k] |<v_xm|factor_k>|^2
+    amp = factors.conj() @ v[sampled]
+    rows = np.clip(np.einsum("k,xkm->xm", weights, amp.real**2 + amp.imag**2), 0.0, 1.0)
     return rows / rows.sum(axis=1, keepdims=True), values, constant
 
 
@@ -286,17 +283,6 @@ def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) 
 # ---------------------------------------------------------------------------
 # continuous quorum: spin component along every direction
 
-# Complex values per in-chunk array of the continuous estimator.  A block is
-# processed in chunks of this many values over the values one sample needs,
-# so peak memory depends neither on n_samples nor on the block size.
-_CHUNK_VALUES = 1 << 18
-
-
-def _kernel_from_diagonals(lower, center, upper, dim: int):
-    """(2s+1) * (A_m - A_{m+1}/2 - A_{m-1}/2) from the three diagonal elements."""
-    return dim * (center - 0.5 * upper - 0.5 * lower)
-
-
 def _direction_kernel_rows(a_diag: np.ndarray, dim: int) -> np.ndarray:
     """Outcome kernel for each row of eigenbasis diagonals of the target.
 
@@ -307,17 +293,7 @@ def _direction_kernel_rows(a_diag: np.ndarray, dim: int) -> np.ndarray:
     directions and Born-distributed outcomes, exactly unbiased.
     """
     padded = np.pad(a_diag, [(0, 0)] * (a_diag.ndim - 1) + [(1, 1)])
-    return _kernel_from_diagonals(padded[..., :-2], padded[..., 1:-1], padded[..., 2:], dim)
-
-
-def _row_expectations(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Re <v|op|v> for every row v, over the last axis."""
-    return np.sum(rows.conj() * _rows_times(rows, op.T), axis=-1).real
-
-
-def _direction_born(euler: _EulerRotation, phases, weights, rows) -> np.ndarray:
-    """Born probabilities p[f, m] = <R_f m|rho|R_f m> for each direction f."""
-    return _born(weights, euler.adjoint_apply(phases, rows))
+    return dim * (padded[..., 1:-1] - 0.5 * padded[..., 2:] - 0.5 * padded[..., :-2])
 
 
 def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction) -> float:
@@ -333,28 +309,30 @@ def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction)
     idx = int(round(idx_f))
     if abs(idx_f - idx) > 1e-9 or not (0 <= idx < system.dim):
         raise ValueError(f"m = {m} is not an eigenvalue of a spin-{system.s} component")
-    euler = _EulerRotation(system)
-    eigvecs = euler.columns(
-        euler.phases(np.array([n.theta]), np.array([n.phi])), np.arange(system.dim)
-    )
-    diag = _row_expectations(eigvecs[0], a)
-    return float(_direction_kernel_rows(diag, system.dim)[idx])
+    diag = _EulerRotation(system).diagonals(np.array([n.theta]), np.array([n.phi]), a[None])
+    return float(_direction_kernel_rows(diag, system.dim).reshape(-1)[idx])
 
 
-def _block_generators(seed: int, block: int, nb: int) -> list[np.random.Generator]:
-    """Streams of the block's cos theta, phi and u draws, in that order.
+def _continuous_tables(a: np.ndarray, system: SpinSystem, state):
+    """One pooled row of (grid node, outcome) cells for the count engine.
 
-    Each is the block's ``default_rng([seed, block])`` stream advanced past
-    the draws before it, so drawing the three in chunks reproduces the
-    arrays drawn whole.
+    The direction average is a spherical polynomial of degree <= 4s, so
+    the Gauss-Legendre x trapezoid grid of n_theta x n_phi nodes computes
+    it exactly.  Cell (f, m) is drawn with probability w_f p[f, m], where
+    w_f is node f's normalised weight and p[f] its clipped, normalised Born
+    row, and is worth the kernel K[f, m]; so sum_f w_f sum_m p K = Tr[rho a].
     """
-    seq = np.random.SeedSequence([seed, block])
-    gens = []
-    for k in range(3):
-        bits = np.random.PCG64(seq)
-        bits.advance(k * int(nb))
-        gens.append(np.random.Generator(bits))
-    return gens
+    a = _target(a, system.dim)
+    weights, rows = _state_factors(state, system.dim)
+    rho = (rows.T * weights) @ rows.conj()
+    n_theta, n_phi = system.two_s + 4, 2 * system.two_s + 6
+    cos_nodes, w_cos = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    born, diag = _EulerRotation(system).diagonals(np.arccos(cos_nodes), phi, np.stack([rho, a]))
+    born = np.clip(born, 0.0, 1.0)
+    # the weights w_cos sum to 2 and the phi nodes are equal
+    born *= (w_cos / (2 * n_phi))[:, None, None] / born.sum(axis=-1, keepdims=True)
+    return born.reshape(1, -1), _direction_kernel_rows(diag, system.dim).reshape(1, -1), 0.0
 
 
 def estimate_continuous(
@@ -366,79 +344,33 @@ def estimate_continuous(
     n_blocks: int = 20,
     seed: int = 42,
 ) -> RunStats:
-    """Reconstruct <a> by measuring S.n along uniformly random directions.
+    """Reconstruct <a> by measuring S.n along directions of the exact grid.
 
-    Each sample draws one direction (cos theta uniform, phi uniform),
-    simulates a single measurement of S.n, and accumulates the closed-form
-    outcome kernel.  The eigenvectors of S.n are the columns of the Euler
-    rotation exp(-i phi S_z) exp(-i theta S_y), so a sample costs a few
-    d x d products and no diagonalisation.  Blocks own derived seeds
-    (seed, block) and are merged in a fixed order; each block is streamed
-    in chunks of bounded size.
+    Each sample draws one grid direction with its quadrature weight and one
+    outcome m of S.n with its Born probability, and contributes the
+    closed-form outcome kernel.  A block sees its samples only through the
+    count of each (direction, outcome) cell, so, as for the discrete
+    quorums, each block draws those counts in one multinomial; time and
+    memory do not grow with n_samples.
     """
-    a = _target(a, system.dim)
     sizes = _blocks(n_samples, n_blocks, "n_samples")
-    weights, rows = _state_factors(state, system.dim)
-    euler = _EulerRotation(system)
-    d = system.dim
-    chunk = max(1, _CHUNK_VALUES // (d * max(3, rows.shape[0])))
-    offsets = np.array([-1, 0, 1])
-
-    block_means = np.zeros(n_blocks)
-    for bi, nb in enumerate(sizes):
-        cos_gen, phi_gen, u_gen = _block_generators(seed, bi, nb)
-        total = 0.0
-        for start in range(0, nb, chunk):
-            c = min(chunk, nb - start)
-            theta = np.arccos(cos_gen.uniform(-1.0, 1.0, size=c))
-            phi = phi_gen.uniform(0.0, 2 * np.pi, size=c)
-            u = u_gen.random(c)
-            phases = euler.phases(theta, phi)
-            p = np.clip(_direction_born(euler, phases, weights, rows), 0.0, 1.0)
-            cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-            idx = np.minimum((cdf <= u[:, None]).sum(axis=1), d - 1)
-            # Only <R m'|a|R m'> for m' = m - 1, m, m + 1 enter the kernel;
-            # rows outside -s..s are computed clamped and masked to zero.
-            near = idx[:, None] + offsets
-            inside = (near >= 0) & (near < d)
-            diag = _row_expectations(euler.columns(phases, np.clip(near, 0, d - 1)), a)
-            diag = np.where(inside, diag, 0.0)
-            total += float(_kernel_from_diagonals(diag[:, 0], diag[:, 1], diag[:, 2], d).sum())
-        block_means[bi] = total / nb
-    return _stats_from_blocks(
-        block_means, sizes, n_samples, "continuous", seed, "uniform_direction"
-    )
+    block_means = _count_block_means(_continuous_tables(a, system, state), sizes, seed)
+    return _stats_from_blocks(block_means, sizes, n_samples, "continuous", seed, "grid_direction")
 
 
 def continuous_exact_value(a: np.ndarray, system: SpinSystem, state) -> float:
     """Direction-and-outcome average of the kernel with exact probabilities.
 
-    The integrand is a spherical polynomial of degree <= 4s, so the default
-    Gauss-Legendre x trapezoid grid integrates it exactly; the result is
-    Tr[rho a] up to roundoff.
+    The grid integrates the average exactly, so the result is Tr[rho a]
+    up to roundoff.
     """
-    a = _target(a, system.dim)
-    n_theta, n_phi = system.two_s + 4, 2 * system.two_s + 6
-    cos_nodes, w_cos = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2 * np.pi / n_phi
-    weights, rows = _state_factors(state, system.dim)
-
-    theta = np.repeat(np.arccos(cos_nodes), n_phi)
-    phi = np.tile(phi, n_theta)
-    euler = _EulerRotation(system)
-    phases = euler.phases(theta, phi)
-    p = _direction_born(euler, phases, weights, rows)
-    diag = _row_expectations(euler.columns(phases, np.arange(system.dim)), a)
-    kernels = _direction_kernel_rows(diag, system.dim)
-    w_dir = np.repeat(w_cos * w_phi, n_phi)
-    return float(np.sum(w_dir * np.sum(p * kernels, axis=1)) / (4 * np.pi))
+    return _exact_contraction(_continuous_tables(a, system, state))
 
 
 # ---------------------------------------------------------------------------
 # Weigert projector quorum
 
-def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool):
+def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state):
     """Two-outcome rows [Tr rho P_k, 1 - Tr rho P_k] with values [coef_k, 0].
 
     Only the maximal outcome m = s of S.n_k carries weight: the estimator is
@@ -446,10 +378,9 @@ def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool
     projectors, so no direction is diagonalised.
     """
     a = _target(a, wq.system.dim)
-    factor = wq.system.s if scale_by_spin else 1.0
     values = np.zeros((len(wq), 2))
     for k, b in enumerate(wq.dual.elements):
-        values[k, 0] = factor * _dual_coefficient(b, a, f"direction {k}")
+        values[k, 0] = _dual_coefficient(b, a, f"direction {k}")
     top = _expectations(wq.projectors, *_state_factors(state, wq.system.dim)).real
     top = np.clip(top, 0.0, 1.0)
     return np.stack([top, 1.0 - top], axis=1), values, 0.0
@@ -463,26 +394,21 @@ def estimate_weigert(
     *,
     n_blocks: int = 20,
     seed: int = 42,
-    scale_by_spin: bool = False,
 ) -> RunStats:
     """Reconstruct <a> from the frequencies of maximal outcomes of S.n_k.
 
     Each direction k gets ``samples_per_direction`` shots; the in-block
     frequency of the top outcome estimates p(s, n_k), weighted by
-    Tr[a Q^k] over the dual projectors.  ``scale_by_spin`` multiplies each
-    term by s; that variant fails the exact-probability identity for
-    s != 1 and is kept only for comparison.
+    Tr[a Q^k] over the dual projectors, with no extra factor of the spin.
     """
     sizes = _blocks(samples_per_direction, n_blocks, "samples_per_direction")
-    block_means = _count_block_means(_weigert_tables(a, wq, state, scale_by_spin), sizes, seed)
+    block_means = _count_block_means(_weigert_tables(a, wq, state), sizes, seed)
     return _stats_from_blocks(
         block_means, sizes, samples_per_direction * len(wq),
         "weigert", seed, "per_direction_quota",
     )
 
 
-def weigert_exact_value(
-    a: np.ndarray, wq: WeigertQuorum, state, scale_by_spin: bool = False
-) -> float:
-    """Weigert estimator with exact Born probabilities; Tr[rho a] when unscaled."""
-    return _exact_contraction(_weigert_tables(a, wq, state, scale_by_spin))
+def weigert_exact_value(a: np.ndarray, wq: WeigertQuorum, state) -> float:
+    """Weigert estimator with exact Born probabilities; equals Tr[rho a]."""
+    return _exact_contraction(_weigert_tables(a, wq, state))

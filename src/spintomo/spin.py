@@ -143,9 +143,9 @@ class _EulerRotation:
 
     R S_z R^dag = S.n for n = (sin theta cos phi, sin theta sin phi,
     cos theta), so the column R|m> is the eigenvector of S.n with eigenvalue
-    m.  S_y = W diag(mu) W^dag is diagonalised once; applying R or R^dag to
-    a vector then costs two d x d products and two diagonal phases, with no
-    per-direction diagonalisation.  Vectors are stored as array rows.
+    m.  S_y = W diag(mu) W^dag is diagonalised once; a column R|m> then
+    costs two d x d products and two diagonal phases, with no per-direction
+    diagonalisation.  Vectors are stored as array rows.
     """
 
     def __init__(self, system: SpinSystem):
@@ -153,11 +153,7 @@ class _EulerRotation:
         self.m = np.arange(system.dim) - system.s
 
     def phases(self, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal factors exp(-i theta mu) and exp(-i phi m), each (F, 1, d).
-
-        Computed once per set of directions and shared by ``columns`` and
-        ``adjoint_apply``, which conjugates them.
-        """
+        """Diagonal factors exp(-i theta mu) and exp(-i phi m), each (F, 1, d)."""
         return (
             np.exp(-1j * theta[:, None, None] * self.mu),
             np.exp(-1j * phi[:, None, None] * self.m),
@@ -168,14 +164,24 @@ class _EulerRotation:
         y_phase, z_phase = phases
         return _rows_times(self.w.conj()[idx] * y_phase, self.w.T) * z_phase
 
-    def adjoint_apply(self, phases: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Rows R^dag x of shape (F, k, d); ``x`` broadcasts to that shape.
+    def diagonals(self, theta: np.ndarray, phi: np.ndarray, ops: np.ndarray) -> np.ndarray:
+        """Re <R m|X|R m> for each X of ``ops`` (n, d, d) on the grid theta x phi.
 
-        Component m of R^dag x is the amplitude <R m|x> of outcome m of S.n.
+        Returns (n, len(theta), len(phi), d).  On a ring of fixed theta, R|m>
+        is c = exp(-i theta S_y)|m> with component k phased by exp(-i phi m_k),
+        so <R m|X|R m> = sum_kl conj(c_k) X_kl c_l exp(i phi (k - l)) is a
+        trigonometric polynomial in phi.  Its 2d - 1 coefficients are summed
+        once per ring, O(d^3), and evaluated at every phi by one product.
         """
-        y_phase, z_phase = phases
-        x = _rows_times(x * z_phase.conj(), self.w.conj())
-        return _rows_times(x * y_phase.conj(), self.w.T)
+        d = self.m.size
+        c = self.columns(self.phases(theta, np.zeros_like(theta)), np.arange(d))  # [ring, m, k]
+        c_lm = c.transpose(0, 2, 1)
+        by_freq = np.zeros((len(ops), theta.size, 2 * d - 1, d), dtype=complex)
+        for k in range(d):
+            terms = c[:, None, :, k].conj() * ops[:, None, k, :, None] * c_lm  # [X, ring, l, m]
+            # l = d-1 ... 0 has frequency k - l, stored at index k - l + d - 1
+            by_freq[:, :, k:k + d] += terms[:, :, ::-1]
+        return (np.exp(1j * np.outer(phi, np.arange(1 - d, d))) @ by_freq).real
 
 
 def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:

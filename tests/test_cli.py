@@ -210,6 +210,24 @@ class TestSimulate:
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "string"])
+    def test_weigert_seed_must_be_an_integer(self, runner, tmp_path, value):
+        # true would otherwise run with seed 1, 2.5 fail inside numpy
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"quorum": "weigert", "weigert_seed": value}))
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--n-samples", "800"])
+        assert result.exit_code == 2
+        assert f"error: weigert_seed must be an integer, got {value!r}" in result.output
+
+    def test_unwritable_csv_leaves_no_result_file(self, runner, tmp_path):
+        out = tmp_path / "run.json"
+        result = runner.invoke(main, [
+            "simulate", "--n-samples", "600", "--checkpoints", "300", "--out", str(out),
+            "--csv", str(tmp_path / "missing" / "series.csv"),
+        ])
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_weigert_seeded_run(self, runner, tmp_path):
         out = tmp_path / "run.json"
         result = runner.invoke(
@@ -389,6 +407,19 @@ class TestFig1:
             assert result.exit_code == 0
             blobs.append(means.read_bytes() + errors.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_unwritable_errors_leave_no_means_file(self, runner, tmp_path):
+        means, kept = tmp_path / "m.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier result\n")
+        for out_means, leftover in ((means, False), (kept, True)):
+            result = runner.invoke(main, [
+                "fig1", "--n-max", "500", "--out-means", str(out_means),
+                "--out-errors", str(tmp_path / "missing" / "e.csv"),
+            ])
+            assert result.exit_code == 2
+            assert out_means.exists() == leftover
+        # an existing means file is left as it was
+        assert kept.read_text() == "earlier result\n"
 
     def test_alpha_parse_error(self, runner):
         result = runner.invoke(main, ["fig1", "--alpha", "spam"])

@@ -29,8 +29,8 @@ from spintomo import (
     weigert_exact_value,
     weigert_quorum,
 )
-from spintomo.estimator import _direction_born, _state_factors
-from spintomo.spin import Direction, _EulerRotation
+from spintomo.estimator import _state_factors
+from spintomo.spin import Direction
 
 from conftest import SX, SZ, psi_quadrature_kernel
 
@@ -362,34 +362,32 @@ class TestContinuousEstimator:
             estimate_continuous(spin_half.sz, spin_half, coherent2, 10, n_blocks=20)
 
 
-def eigh_reference_block_means(a, system, state, n_samples, n_blocks, seed):
-    """Continuous estimator by a batched eigh of S.n per sample.
+def _continuous_born_table(a, system, state):
+    """The continuous quorum's pooled (node, outcome) row, built by eigh of S.n per node.
 
-    Kept as the reference for the Euler-rotation route: same draws
-    (cos theta, phi, u from default_rng([seed, block])), same outcome rule.
+    Node f of the n_theta x n_phi grid has weight w_f = w_cos / (2 n_phi);
+    cell (f, m) has probability w_f p[f, m], with p[f] the clipped and
+    normalised Born row, and value K[f, m].  Returns the pooled (1, F d)
+    probabilities and values, and w_f.
     """
-    d = system.dim
     state = np.asarray(state, dtype=complex)
     rho = state if state.ndim == 2 else np.outer(state, state.conj())
-    spins = np.stack([system.sx, system.sy, system.sz])
-    base, extra = divmod(n_samples, n_blocks)
-    means = []
-    for bi in range(n_blocks):
-        nb = base + (1 if bi < extra else 0)
-        rng = np.random.default_rng([seed, bi])
-        cos_t = rng.uniform(-1.0, 1.0, size=nb)
-        phi = rng.uniform(0.0, 2 * np.pi, size=nb)
-        u = rng.random(nb)
-        sin_t = np.sqrt(1.0 - cos_t**2)
-        nvec = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
-        _, vec = np.linalg.eigh(np.einsum("fi,ijk->fjk", nvec, spins))
-        p = np.clip(np.einsum("fik,ij,fjk->fk", vec.conj(), rho, vec).real, 0.0, 1.0)
-        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-        idx = np.minimum((cdf <= u[:, None]).sum(axis=1), d - 1)
-        diag = np.pad(np.einsum("fik,ij,fjk->fk", vec.conj(), a, vec).real, [(0, 0), (1, 1)])
-        kernels = d * (diag[:, 1:-1] - 0.5 * diag[:, 2:] - 0.5 * diag[:, :-2])
-        means.append(kernels[np.arange(nb), idx].mean())
-    return np.array(means)
+    n_theta, n_phi = system.two_s + 4, 2 * system.two_s + 6
+    cos_t, w_cos = np.polynomial.legendre.leggauss(n_theta)
+    born, kernels, w_node = [], [], []
+    for c, w in zip(cos_t, w_cos):
+        sin_t = np.sqrt(1.0 - c**2)
+        for phi in 2 * np.pi * np.arange(n_phi) / n_phi:
+            _, v = np.linalg.eigh(system.spin_along(
+                np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), c])))
+            p = np.clip(np.einsum("ik,ij,jk->k", v.conj(), rho, v).real, 0.0, 1.0)
+            born.append(p / p.sum())
+            diag = np.pad(np.einsum("ik,ij,jk->k", v.conj(), a, v).real, 1)
+            kernels.append(system.dim * (diag[1:-1] - 0.5 * diag[2:] - 0.5 * diag[:-2]))
+            w_node.append(w / (2 * n_phi))
+    w_node = np.array(w_node)
+    probs = w_node[:, None] * np.array(born)
+    return probs.reshape(1, -1), np.array(kernels).reshape(1, -1), w_node
 
 
 def _pure_and_mixed(system, rng):
@@ -403,44 +401,49 @@ class TestContinuousEulerRoute:
     @pytest.mark.parametrize("two_s", [1, 2, 7, 15])
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_block_means_match_eigh_reference(self, two_s, kind, rng):
+        # the same per-block count draws from a table built by eigh at every
+        # node.  The states are generic: a cell of zero probability draws no
+        # random number, so a Born probability at roundoff level (as a
+        # coherent state has) would be 0 on one route and not on the other.
         sys_ = make_spin_system(two_s)
         a = random_hermitian(sys_.dim, rng)
-        state = _pure_and_mixed(sys_, rng)[kind]
+        psi = rng.normal(size=sys_.dim) + 1j * rng.normal(size=sys_.dim)
+        state = psi / np.linalg.norm(psi) if kind == "pure" else random_density(sys_.dim, rng)
         n = 4000 if sys_.dim <= 8 else 1000
         stats = estimate_continuous(a, sys_, state, n, seed=17 + two_s)
-        ref = eigh_reference_block_means(a, sys_, state, n, 20, 17 + two_s)
+        probs, values, _ = _continuous_born_table(a, sys_, state)
+        sizes = np.array([n // 20] * 20)
+        counts = estimator._block_counts(probs, sizes, 17 + two_s)
+        ref = [float(np.sum(c * values)) / nb for nb, c in zip(sizes, counts)]
         tol = 1e-12 * (1 + np.linalg.norm(a, 2))
         assert np.abs(np.array(stats.block_means) - ref).max() <= tol
 
-    @pytest.mark.parametrize("kind", ["pure", "mixed"])
-    def test_chunked_blocks_draw_as_whole_blocks(self, kind, rng, monkeypatch):
-        # a tiny chunk splits every block into many chunks; the draws and the
-        # block means must not change
-        sys_ = make_spin_system(3)
-        a = random_hermitian(4, rng)
-        state = _pure_and_mixed(sys_, rng)[kind]
-        monkeypatch.setattr(estimator, "_CHUNK_VALUES", 40)
-        stats = estimate_continuous(a, sys_, state, 2003, seed=5)
-        ref = eigh_reference_block_means(a, sys_, state, 2003, 20, 5)
-        assert np.abs(np.array(stats.block_means) - ref).max() <= 1e-12 * (1 + np.linalg.norm(a, 2))
-
     @pytest.mark.parametrize("two_s", [1, 2, 7, 15])
     def test_born_probabilities_match_eigh(self, two_s, rng):
+        # Born rows and kernel rows of every grid node, with the Euler ring
+        # build against a plain eigh of S.n
         sys_ = make_spin_system(two_s)
-        euler = _EulerRotation(sys_)
-        cos_t = rng.uniform(-1.0, 1.0, size=50)
-        phi = rng.uniform(0.0, 2 * np.pi, size=50)
-        sin_t = np.sqrt(1.0 - cos_t**2)
+        a = random_hermitian(sys_.dim, rng)
         for state in _pure_and_mixed(sys_, rng).values():
-            got = _direction_born(euler, euler.phases(np.arccos(cos_t), phi),
-                                  *_state_factors(state, sys_.dim))
-            dm = np.outer(state, state.conj()) if state.ndim == 1 else state
-            for f in range(cos_t.size):
-                h = sys_.spin_along(np.array([sin_t[f] * np.cos(phi[f]),
-                                              sin_t[f] * np.sin(phi[f]), cos_t[f]]))
-                _, v = np.linalg.eigh(h)
-                want = np.einsum("ik,ij,jk->k", v.conj(), dm, v).real
-                assert np.abs(got[f] - want).max() <= 1e-13
+            probs, values, constant = estimator._continuous_tables(a, sys_, state)
+            want_probs, want_values, w_node = _continuous_born_table(a, sys_, state)
+            assert constant == 0.0 and probs.shape == want_probs.shape == values.shape
+            born = (probs / np.repeat(w_node, sys_.dim)).reshape(-1, sys_.dim)
+            want_born = (want_probs / np.repeat(w_node, sys_.dim)).reshape(-1, sys_.dim)
+            assert np.abs(born - want_born).max() <= 1e-12
+            assert np.abs(values - want_values).max() <= 1e-12 * (1 + np.linalg.norm(a, 2))
+
+    def test_budget_below_nodes_times_blocks(self, rng):
+        # grid nodes are drawn, not given quotas, so a d = 16 budget below
+        # nodes x n_blocks still fills the blocks
+        sys_ = make_spin_system(15)
+        state = coherent_state(sys_, 0.8 - 0.4j)
+        a = random_hermitian(16, rng)
+        nodes = estimator._continuous_tables(a, sys_, state)[0].size // 16
+        assert 10_000 < nodes * 20
+        stats = estimate_continuous(a, sys_, state, 10_000, seed=8)
+        assert stats.n_samples == 10_000 and stats.convention == "grid_direction"
+        assert abs(stats.mean - state_expectation(state, a).real) <= 4 * stats.error_bar
 
     @pytest.mark.parametrize("two_s", [15, 31])
     def test_exact_value_identity_large_spin(self, two_s, rng):
@@ -470,6 +473,18 @@ class TestContinuousEulerRoute:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_peak_memory_at_largest_dimension(self, rng):
+        sys_ = make_spin_system(31)
+        rho = random_density(32, rng)
+        a = random_hermitian(32, rng)
+        tracemalloc.start()
+        try:
+            estimate_continuous(a, sys_, rho, 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
 
 class TestWeigertEstimator:
     def test_exact_identity_spin_half(self, spin_half, rng):
@@ -479,18 +494,6 @@ class TestWeigertEstimator:
             rho = random_density(2, rng)
             val = weigert_exact_value(a, wq, rho)
             assert val == pytest.approx(np.trace(rho @ a).real, abs=1e-10)
-
-    def test_spin_prefactor_variant_fails_identity(self, spin_half, rng):
-        # the variant scaling by s reproduces nothing at s = 1/2
-        wq = weigert_quorum(spin_half, tetrahedral_directions())
-        a = random_hermitian(2, rng)
-        rho = random_density(2, rng)
-        exact = np.trace(rho @ a).real
-        unscaled = weigert_exact_value(a, wq, rho)
-        scaled = weigert_exact_value(a, wq, rho, scale_by_spin=True)
-        assert unscaled == pytest.approx(exact, abs=1e-10)
-        assert scaled == pytest.approx(exact / 2, abs=1e-10)
-        assert abs(scaled - exact) > 0.1 * abs(exact)
 
     def test_exact_identity_spin_one(self, rng):
         sys_ = make_spin_system(2)
@@ -546,6 +549,14 @@ class TestCountSampler:
             a, rho = random_hermitian(3, rng), random_density(3, rng)
             probs, values = _weigert_born_table(a, wq, rho)
             run = partial(estimate_weigert, a, wq, rho, self.PER_SETTING, n_blocks=self.N_BLOCKS)
+        elif selection == "continuous":
+            # one pooled (node, outcome) row: the uniform law with one setting
+            sys_ = make_spin_system(2)
+            a, rho = random_hermitian(3, rng), random_density(3, rng)
+            probs, values, _ = _continuous_born_table(a, sys_, rho)
+            run = partial(
+                estimate_continuous, a, sys_, rho, self.PER_SETTING, n_blocks=self.N_BLOCKS
+            )
         else:
             q, dual = pauli_quorum()
             a, rho = random_hermitian(2, rng), random_density(2, rng)
@@ -556,11 +567,11 @@ class TestCountSampler:
             )
         return run, probs, values, np.trace(rho @ a).real
 
-    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert"])
+    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert", "continuous"])
     def test_block_means_follow_born_law(self, selection):
         run, probs, values, exact = self._law_case(selection)
         n_settings = probs.shape[0]
-        if selection == "uniform":
+        if selection in ("uniform", "continuous"):
             nb = self.PER_SETTING * n_settings // self.N_BLOCKS
             shot_var = n_settings * np.sum(probs * values**2) - np.sum(probs * values) ** 2
         else:
@@ -587,7 +598,7 @@ class TestCountSampler:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
-    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert"])
+    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert", "continuous"])
     def test_block_counts_spend_the_block(self, spin_half, coherent2, selection, monkeypatch):
         drawn = []
         draw = estimator._block_counts
@@ -603,6 +614,10 @@ class TestCountSampler:
             wq = weigert_quorum(spin_half, tetrahedral_directions())
             stats = estimate_weigert(spin_half.sz, wq, coherent2, per_setting, seed=4)
             shape, budget = (4, 2), per_setting
+        elif selection == "continuous":
+            stats = estimate_continuous(spin_half.sz, spin_half, coherent2, per_setting, seed=4)
+            # one pooled row of (grid node, outcome) cells on the 5 x 8 grid
+            shape, budget = (1, 5 * 8 * 2), per_setting
         else:
             q, dual = pauli_quorum()
             stats = estimate_discrete(
