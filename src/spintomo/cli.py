@@ -97,6 +97,15 @@ def _print_report(report: frames.SpanningReport):
         click.echo(np.array2string(report.defect_witness, precision=6, suppress_small=True))
 
 
+def _default_seed() -> int:
+    """The seed of a command run without one: ``TOMO_SEED`` if it is set, else 42."""
+    env = os.environ.get("TOMO_SEED")
+    try:
+        return DEFAULT_SEED if env is None else int(env)
+    except ValueError as err:
+        raise ValueError(f"TOMO_SEED must be an integer, got {env!r}") from err
+
+
 class _Main(click.Group):
     """The exit-code policy of every command, decided in ``invoke``.
 
@@ -140,7 +149,7 @@ def quorum():
 @click.option("--pauli", is_flag=True, help="Use the built-in spin-1/2 Pauli quorum.")
 @click.option("--trials", default=50, show_default=True, type=click.IntRange(min=1),
               help="Random operators per definition test.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=int, default=_default_seed, show_default="TOMO_SEED, else 42")
 @click.option("--out", type=click.Path(), help="Write the JSON report here.")
 def quorum_check(quorum_file, pauli, trials, seed, out):
     """Check completeness and the four spanning-set definitions."""
@@ -182,27 +191,6 @@ def quorum_dual(quorum_file, pauli, method, subspace, out):
     _write(serialize.dumps(serialize.dual_to_json_dict(dual, labels=q.labels)), out)
 
 
-def _resolve_seed(flag_seed, file_seed):
-    if flag_seed is not None:
-        return int(flag_seed)
-    if file_seed is not None:
-        return int(file_seed)
-    env = os.environ.get("TOMO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as err:
-            raise ValueError(f"TOMO_SEED must be an integer, got {env!r}") from err
-    return DEFAULT_SEED
-
-
-def _optional_int(value, key: str) -> int | None:
-    """``value`` if it is None or an integer; a bool, float or string is refused."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
@@ -216,46 +204,31 @@ def _parse_checkpoints(text: str | None) -> tuple[int, ...]:
 @click.option("--config", "config_path", type=click.Path(), help="JSON config file; flags override.")
 @click.option("--spin-two-s", type=int, default=None, help="Twice the spin (dimension minus one).")
 @click.option("--state", default=None, help="coherent:ALPHA, basis:M or density:PATH.")
-@click.option("--quorum", "quorum_spec", default=None,
+@click.option("--quorum", default=None,
               type=click.Choice(["pauli", "continuous", "weigert"]))
 @click.option("--target", default=None, help="sx, sy, sz or file:PATH (Hermitian matrix JSON).")
 @click.option("--n-samples", type=int, default=None, help="Total sample budget.")
 @click.option("--n-blocks", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--checkpoints", default=None, help="Comma-separated budgets for a convergence series.")
-@click.option("--directions", "directions_path", type=click.Path(),
+@click.option("--directions", "directions_file", type=click.Path(),
               help="Directions JSON for the Weigert quorum.")
 @click.option("--weigert-seed", type=int, default=None,
               help="Seed for random Weigert directions (alternative to --directions).")
 @click.option("--out", type=click.Path(), help="Write the result JSON here (default stdout).")
 @click.option("--csv", "csv_path", type=click.Path(), help="Write the checkpoint series CSV here.")
-def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_blocks,
-             seed, checkpoints, directions_path, weigert_seed, out, csv_path):
+def simulate(config_path, out, csv_path, **flags):
     """Run one configured Monte Carlo reconstruction."""
     file_cfg = serialize.load_json_file(config_path) if config_path else {}
     if not isinstance(file_cfg, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
-    defaults = ExperimentConfig()
-
-    def pick(flag, key):
-        """The flag if given, else the config file's value, else the default."""
-        return flag if flag is not None else file_cfg.get(key, getattr(defaults, key))
-
-    cfg = ExperimentConfig(
-        spin_two_s=int(pick(spin_two_s, "spin_two_s")),
-        state=str(pick(state, "state")),
-        quorum=str(pick(quorum_spec, "quorum")),
-        target=str(pick(target, "target")),
-        n_samples=int(pick(n_samples, "n_samples")),
-        n_blocks=int(pick(n_blocks, "n_blocks")),
-        seed=_resolve_seed(seed, file_cfg.get("seed")),
-        checkpoints=tuple(
-            int(c) for c in pick(_parse_checkpoints(checkpoints) or None, "checkpoints")
-        ),
-        directions_file=pick(directions_path, "directions_file"),
-        weigert_seed=_optional_int(pick(weigert_seed, "weigert_seed"), "weigert_seed"),
-    )
-    stats, rows, exact = simulate_run(cfg)
+    flags["checkpoints"] = _parse_checkpoints(flags["checkpoints"]) or None
+    # each flag sets the ExperimentConfig field of its name and overrides the file
+    values = {key: file_cfg[key] for key in flags if key in file_cfg}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    if values.get("seed") is None:
+        values["seed"] = _default_seed()
+    stats, rows, exact = simulate_run(ExperimentConfig(**values))
     doc = serialize.run_stats_to_json_dict(stats)
     doc["exact"] = float(exact)
     _open_outputs(out, csv_path)
@@ -267,7 +240,7 @@ def simulate(config_path, spin_two_s, state, quorum_spec, target, n_samples, n_b
 @main.command()
 @click.option("--alpha", default="2", show_default=True, help="Coherent-state amplitude (complex).")
 @click.option("--n-max", default=100000, show_default=True, type=int)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=_default_seed, show_default="TOMO_SEED, else 42")
 @click.option("--n-blocks", default=20, show_default=True, type=int)
 @click.option("--checkpoints", "n_checkpoints", default=20, show_default=True, type=int,
               help="Number of log-spaced sample budgets.")
@@ -283,9 +256,8 @@ def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, out_means, out_errors):
         alpha_val = complex(alpha)
     except ValueError as err:
         raise ValueError(f"alpha must parse as a complex number, got {alpha!r}") from err
-    seed_val = _resolve_seed(seed, None)
     rows, _exact = fig1_series(
-        alpha_val, n_max, seed=seed_val, n_blocks=n_blocks, n_checkpoints=n_checkpoints
+        alpha_val, n_max, seed=seed, n_blocks=n_blocks, n_checkpoints=n_checkpoints
     )
     _open_outputs(out_means, out_errors)
     serialize.write_csv(
@@ -298,7 +270,7 @@ def fig1(alpha, n_max, seed, n_blocks, n_checkpoints, out_means, out_errors):
         ["n_samples", "err_cont", "err_disc"],
         [(n, ec, ed) for (n, _mc, ec, _md, ed, _e) in rows],
     )
-    click.echo(f"wrote {out_means} and {out_errors} (seed {seed_val})", err=True)
+    click.echo(f"wrote {out_means} and {out_errors} (seed {seed})", err=True)
 
 
 if __name__ == "__main__":

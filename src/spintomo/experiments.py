@@ -9,7 +9,7 @@ for both.  Checkpoints are independent runs with seeds derived from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,11 @@ from .spin import (
 DEFAULT_SEED = 42
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one reconstruction run."""
+    """One reconstruction run, checked when it is made: each value must have
+    its field's type (nothing is converted), and the quorum exactly its inputs.
+    """
 
     spin_two_s: int = 1
     state: str = "coherent:2"
@@ -47,9 +49,33 @@ class ExperimentConfig:
     n_samples: int = 100000
     n_blocks: int = 20
     seed: int = DEFAULT_SEED
-    checkpoints: tuple[int, ...] = field(default_factory=tuple)
+    checkpoints: tuple[int, ...] = ()
     directions_file: str | None = None
     weigert_seed: int | None = None
+
+    def __post_init__(self):
+        weigert_inputs = ("directions_file", "weigert_seed")  # these two may be None
+        given = [key for key in weigert_inputs if getattr(self, key) is not None]
+        kinds = {"spin_two_s": "an integer", "state": "a string", "quorum": "a string",
+                 "target": "a string", "n_samples": "an integer", "n_blocks": "an integer",
+                 "seed": "an integer", "directions_file": "a string", "weigert_seed": "an integer"}
+        for key, kind in kinds.items():
+            if key in given or key not in weigert_inputs:
+                serialize._checked(getattr(self, key), key, kind)
+        if not isinstance(self.checkpoints, (list, tuple)):
+            raise ValueError(f"checkpoints must be a list of integers, got {self.checkpoints!r}")
+        checkpoints = (serialize._checked(n, "checkpoints", "an integer") for n in self.checkpoints)
+        object.__setattr__(self, "checkpoints", tuple(checkpoints))
+        if self.quorum not in ("pauli", "continuous", "weigert"):
+            raise ValueError(f"unknown quorum spec {self.quorum!r}; use pauli, continuous or weigert")
+        if self.quorum != "weigert" and given:
+            raise ValueError(
+                f"{given[0]} applies only to the Weigert quorum, not to quorum {self.quorum!r}"
+            )
+        if self.quorum == "weigert" and not given:
+            raise ValueError("the Weigert quorum needs a directions file or a weigert_seed")
+        if self.quorum == "pauli" and self.spin_two_s != 1:
+            raise ValueError("the Pauli quorum requires spin_two_s = 1")
 
 
 def derived_seed(*parts: int) -> int:
@@ -98,22 +124,13 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
 
     ``n_samples`` is the total sample budget.  The Pauli and Weigert
     quorums give each of their n_active sampled settings the quota
-    n_samples // n_active, which must fill the blocks.  The Weigert inputs
-    (a directions file or seed) are refused for the other quorums.
+    n_samples // n_active, which must fill the blocks.
     """
-    if cfg.quorum in ("pauli", "continuous"):
-        for key in ("directions_file", "weigert_seed"):
-            if getattr(cfg, key) is not None:
-                raise ValueError(
-                    f"{key} applies only to the Weigert quorum, not to quorum {cfg.quorum!r}"
-                )
     if cfg.quorum == "continuous":
         return lambda n, seed: estimate_continuous(
             target, system, state, n, n_blocks=cfg.n_blocks, seed=seed
         )
     if cfg.quorum == "pauli":
-        if cfg.spin_two_s != 1:
-            raise ValueError("the Pauli quorum requires spin_two_s = 1")
         quorum, dual = pauli_quorum()
         n_active = int(np.sum(_is_sampled(np.linalg.eigvalsh(quorum.elements))))
         unit = "setting"
@@ -122,21 +139,17 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
             return estimate_discrete(
                 target, quorum, dual, state, quota, n_blocks=cfg.n_blocks, seed=seed
             )
-    elif cfg.quorum == "weigert":
-        if cfg.directions_file:
+    else:  # weigert
+        if cfg.directions_file is not None:
             doc = serialize.load_json_file(cfg.directions_file)
             directions = serialize.directions_from_json_list(doc)
-        elif cfg.weigert_seed is not None:
-            directions = random_directions(system.dim**2, cfg.weigert_seed)
         else:
-            raise ValueError("the Weigert quorum needs a directions file or a weigert_seed")
+            directions = random_directions(system.dim**2, cfg.weigert_seed)
         wq = weigert_quorum(system, directions)
         n_active, unit = len(wq), "direction"
 
         def estimate(quota: int, seed: int):
             return estimate_weigert(target, wq, state, quota, n_blocks=cfg.n_blocks, seed=seed)
-    else:
-        raise ValueError(f"unknown quorum spec {cfg.quorum!r}; use pauli, continuous or weigert")
 
     def run(n: int, seed: int):
         quota = n // n_active

@@ -18,17 +18,30 @@ from .frames import DualFrame, Quorum
 from .liouville import as_operator
 from .spin import Direction
 
+_TYPES = {"an integer": (int, np.integer), "a number": (int, float, np.integer, np.floating),
+          "a string": str, "true or false": bool}
+
+
+def _checked(value, key: str, kind: str):
+    """``value``, unconverted, if it is ``kind``; a bool is only ever "true or false"."""
+    if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "true or false"):
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return value
+
 
 def op_to_pairs(a: np.ndarray) -> list[list[float]]:
     flat = np.ascontiguousarray(a, dtype=complex).reshape(-1)
     return flat.view(float).reshape(-1, 2).tolist()
 
 
-def op_from_pairs(pairs: Sequence, dim: int) -> np.ndarray:
-    arr = np.array(pairs, dtype=float)
+def op_from_pairs(pairs: Sequence, dim: int, key: str = "entries") -> np.ndarray:
+    arr = np.array(pairs)
+    if arr.dtype.kind not in "iuf":  # name the first value that is not a number
+        for x in np.asarray(pairs, dtype=object).reshape(-1):
+            _checked(x, key, "a number")
     if arr.shape != (dim * dim, 2):
         raise ValueError(f"expected {dim * dim} [re, im] pairs, got shape {arr.shape}")
-    return arr.view(complex).reshape(dim, dim)
+    return arr.astype(float, copy=False).view(complex).reshape(dim, dim)
 
 
 def op_to_json_dict(a: np.ndarray) -> dict:
@@ -37,7 +50,7 @@ def op_to_json_dict(a: np.ndarray) -> dict:
 
 
 def op_from_json_dict(doc: dict) -> np.ndarray:
-    dim = int(doc["dim"])
+    dim = _checked(doc["dim"], "dim", "an integer")
     return as_operator(op_from_pairs(doc["entries"], dim))
 
 
@@ -49,11 +62,15 @@ def quorum_to_json_dict(q: Quorum) -> dict:
     }
 
 
+def _frame_from_json_dict(doc: dict, key: str, kind: str) -> tuple[list, list | None]:
+    """The elements of a quorum or dual document, and its list ``key`` of ``kind`` if any."""
+    dim, extra = _checked(doc["dim"], "dim", "an integer"), doc.get(key)
+    elements = [op_from_pairs(p, dim, "elements") for p in doc["elements"]]
+    return elements, None if extra is None else [_checked(v, key, kind) for v in extra]
+
+
 def quorum_from_json_dict(doc: dict) -> Quorum:
-    dim = int(doc["dim"])
-    elements = [op_from_pairs(p, dim) for p in doc["elements"]]
-    labels = doc.get("labels")
-    return Quorum.from_elements(elements, labels)
+    return Quorum.from_elements(*_frame_from_json_dict(doc, "labels", "a string"))
 
 
 def dual_to_json_dict(dual: DualFrame, labels: Sequence[str] | None = None) -> dict:
@@ -67,10 +84,7 @@ def dual_to_json_dict(dual: DualFrame, labels: Sequence[str] | None = None) -> d
 
 
 def dual_from_json_dict(doc: dict) -> DualFrame:
-    dim = int(doc["dim"])
-    elements = [op_from_pairs(p, dim) for p in doc["elements"]]
-    kept = doc.get("kept_mask")
-    return DualFrame.from_elements(elements, kept)
+    return DualFrame.from_elements(*_frame_from_json_dict(doc, "kept_mask", "true or false"))
 
 
 def directions_to_json_list(directions: Sequence[Direction]) -> list[dict]:
@@ -78,7 +92,8 @@ def directions_to_json_list(directions: Sequence[Direction]) -> list[dict]:
 
 
 def directions_from_json_list(doc) -> list[Direction]:
-    return [Direction(float(item["theta"]), float(item["phi"])) for item in doc]
+    return [Direction(*(float(_checked(item[k], k, "a number")) for k in ("theta", "phi")))
+            for item in doc]
 
 
 def run_stats_to_json_dict(stats: RunStats) -> dict:

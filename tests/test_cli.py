@@ -13,6 +13,7 @@ from spintomo import (
     weigert_exact_value,
 )
 from spintomo.cli import main
+from spintomo.experiments import ExperimentConfig
 from spintomo.spin import (
     coherent_state,
     make_spin_system,
@@ -74,6 +75,31 @@ class TestQuorumCheck:
         result = runner.invoke(main, ["quorum", "check", "--pauli", "--trials", "0"])
         assert result.exit_code == 2
         assert "--trials" in result.output
+
+    def test_non_integer_dim_rejected(self, runner, tmp_path):
+        # truncated to d = 2, this file would pass as a complete Pauli quorum
+        path = tmp_path / "q.json"
+        doc = serialize.quorum_to_json_dict(pauli_quorum()[0])
+        path.write_text(json.dumps({**doc, "dim": 2.9}))
+        result = runner.invoke(main, ["quorum", "check", str(path)])
+        assert result.exit_code == 2
+        message = f"{path}: not a valid quorum document: dim must be an integer, got 2.9"
+        assert result.output.splitlines()[-1] == f"error: {message}"
+
+    def test_seed_from_environment(self, runner, tmp_path):
+        path = write_quorum(tmp_path / "q.json", [random_hermitian(2, np.random.default_rng(k))
+                                                   for k in range(4)])
+        reports = {}
+        unset = {"TOMO_SEED": None}
+        for name, args, env in [("env", [], {"TOMO_SEED": "7"}), ("flag", ["--seed", "7"], unset),
+                                ("default", [], unset)]:
+            out = tmp_path / f"{name}.json"
+            result = runner.invoke(main, ["quorum", "check", str(path), *args, "--out", str(out)],
+                                   env=env)
+            assert result.exit_code == 0, result.output
+            reports[name] = out.read_bytes()
+        assert reports["env"] == reports["flag"]
+        assert reports["flag"] != reports["default"]  # the residuals depend on the seed
 
     def test_report_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -284,16 +310,39 @@ class TestSimulate:
         doc = json.loads(out.read_text())
         assert doc["seed"] == 42 and "threads" not in doc
 
+    WRONG_TYPES = [
+        ({"n_samples": "abc"}, "n_samples must be an integer, got 'abc'"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"checkpoints": 5}, "checkpoints must be a list of integers, got 5"),
+        # converted, these would run 1,998 samples, spin 1/2, seed 2, ...
+        ({"n_samples": 2000.7}, "n_samples must be an integer, got 2000.7"),
+        ({"spin_two_s": True}, "spin_two_s must be an integer, got True"),
+        ({"seed": 2.9}, "seed must be an integer, got 2.9"),
+        ({"checkpoints": [300.5]}, "checkpoints must be an integer, got 300.5"),
+        ({"n_blocks": "4"}, "n_blocks must be an integer, got '4'"),
+        # ... and this one would drop the falsy path for the seed
+        ({"quorum": "weigert", "directions_file": 0, "weigert_seed": 3},
+         "directions_file must be a string, got 0"),
+        # open(True) would read file descriptor 1
+        ({"quorum": "weigert", "directions_file": True}, "directions_file must be a string, got True"),
+    ]
+
     @pytest.mark.parametrize(
-        "doc", [{"n_samples": "abc"}, {"seed": "x"}, {"checkpoints": 5}]
+        "doc, message", WRONG_TYPES, ids=[f"doc{i}" for i in range(len(WRONG_TYPES))]
     )
-    def test_config_wrong_type_rejected(self, runner, tmp_path, doc):
+    def test_config_wrong_type_rejected(self, runner, tmp_path, doc, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         result = runner.invoke(main, ["simulate", "--config", str(cfg)])
         assert result.exit_code == 2
-        assert "error:" in result.output
+        assert result.output.splitlines()[-1] == f"error: {message}"
         assert isinstance(result.exception, SystemExit)
+
+    def test_config_checks_library_values(self):
+        # numpy integers are integers; a bool is not
+        assert ExperimentConfig(n_blocks=np.int64(20)).n_blocks == 20
+        with pytest.raises(ValueError, match="n_blocks must be an integer, got True"):
+            ExperimentConfig(n_blocks=True)
 
     def test_missing_density_file(self, runner, tmp_path):
         missing = tmp_path / "none.json"

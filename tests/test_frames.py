@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintomo import (
@@ -65,6 +65,19 @@ def interleaved_quorum(dim, seed, every=4):
             picks = independent[k - every + 1:k + 1]
             elements.append(sum(rng.uniform(-1, 1) * e for e in picks))
     return Quorum.from_elements(elements)
+
+
+EPS = np.finfo(float).eps
+
+
+def reference_dual(q):
+    """The dual of a complete quorum, rows of (C^H)^-1, solved with 40 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    c = q.coefficient_matrix()
+    with mpmath.workdps(40):
+        inverse = mpmath.inverse(mpmath.matrix(c.conj().T.tolist()))
+        rows = [[complex(inverse[i, j]) for j in range(c.shape[1])] for i in range(len(q))]
+    return np.array(rows).reshape(q.elements.shape)
 
 
 def duality_matrix(q, dual):
@@ -254,15 +267,19 @@ class TestDualConstruction:
         with pytest.raises(SingularGramError):
             dual_via_gram_inverse(overcomplete)
 
-    @given(st.integers(0, 500), st.sampled_from([2, 3]))
+    @given(seed=st.integers(0, 500), dim=st.sampled_from([2, 3]))
+    @example(seed=373, dim=3)  # cond(C) = 1.1e5: no double-precision dual is within 1e-8
     @settings(max_examples=25, deadline=None)
     def test_dual_route_agreement(self, seed, dim):
+        # Each route against a 40-digit reference, within 4 d^2 cond(C) max|B_n| eps.
+        # Over all 1,002 inputs drawn here the worst errors are 1.87 (SVD, at
+        # (386, 2)) and 0.17 (Gram-Schmidt) times d^2 cond(C) max|B_n| eps.
         q = random_quorum(dim, dim * dim, seed)
-        dual_gs = dual_via_gram_schmidt(q)
-        dual_gram = dual_via_gram_inverse(q)
-        assert max(
-            hs_norm(a - b) for a, b in zip(dual_gs.elements, dual_gram.elements)
-        ) <= 1e-8
+        reference = reference_dual(q)
+        c = q.coefficient_matrix()
+        bound = 4 * dim**2 * np.linalg.cond(c) * max(map(hs_norm, reference)) * EPS
+        for dual in (dual_via_gram_schmidt(q), dual_via_gram_inverse(q)):
+            assert max(hs_norm(a - b) for a, b in zip(dual.elements, reference)) <= bound
 
     @pytest.mark.parametrize(
         "seed, dim", [(27, 2), (202, 2), (220, 2), (83, 3), (218, 3), (291, 3)]

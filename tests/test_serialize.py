@@ -1,6 +1,7 @@
 """serialize.dumps against the standard library, and the operator pair codec."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,3 +168,62 @@ class TestOperatorPairs:
             serialize.op_from_pairs([[1.0, 0.0]] * 3, 2)
         with pytest.raises(ValueError, match="pairs"):
             serialize.op_from_pairs([[1.0, 0.0, 0.0]] * 4, 2)
+
+
+def _replaced(doc: dict, key: str, value) -> dict:
+    return {**doc, key: value}
+
+
+PAULI_QUORUM = serialize.quorum_to_json_dict(pauli_quorum()[0])
+PAULI_DUAL = serialize.dual_to_json_dict(pauli_quorum()[1])
+SX_DOC = serialize.op_to_json_dict(SX)
+TEXT_PAIRS = [["0.5", 0.0]] + [[0.0, 0.0]] * 3
+BOOL_PAIRS = [[True, False]] * 4
+
+
+class TestReadersCheckTypes:
+    """Each reader refuses a value of the wrong type; none is converted."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_replaced(SX_DOC, "dim", 2.0), "dim must be an integer, got 2.0"),
+        (_replaced(SX_DOC, "entries", TEXT_PAIRS), "entries must be a number, got '0.5'"),
+        (_replaced(SX_DOC, "entries", BOOL_PAIRS), "entries must be a number, got True"),
+    ], ids=["float-dim", "text-entry", "bool-entries"])
+    def test_operator(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize.op_from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        (_replaced(PAULI_QUORUM, "dim", 2.9), "dim must be an integer, got 2.9"),
+        (_replaced(PAULI_QUORUM, "elements", [TEXT_PAIRS] * 4),
+         "elements must be a number, got '0.5'"),
+        (_replaced(PAULI_QUORUM, "labels", [0, 1, 2, 3]), "labels must be a string, got 0"),
+    ], ids=["float-dim", "text-element", "number-label"])
+    def test_quorum(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize.quorum_from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        (_replaced(PAULI_DUAL, "dim", "2"), "dim must be an integer, got '2'"),
+        (_replaced(PAULI_DUAL, "elements", [BOOL_PAIRS] * 4), "elements must be a number, got True"),
+        (_replaced(PAULI_DUAL, "kept_mask", ["false"] * 4),
+         "kept_mask must be true or false, got 'false'"),
+        (_replaced(PAULI_DUAL, "kept_mask", [1] * 4), "kept_mask must be true or false, got 1"),
+    ], ids=["text-dim", "bool-elements", "text-mask", "number-mask"])
+    def test_dual(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize.dual_from_json_dict(doc)
+
+    @pytest.mark.parametrize("item, message", [
+        ({"theta": True, "phi": 1.5}, "theta must be a number, got True"),
+        ({"theta": 1.0, "phi": "1.5"}, "phi must be a number, got '1.5'"),
+    ], ids=["bool-theta", "text-phi"])
+    def test_directions(self, item, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize.directions_from_json_list([{"theta": 0.5, "phi": 0.0}, item])
+
+    def test_integer_pairs_and_angles_still_read(self):
+        doc = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+        assert np.array_equal(serialize.op_from_json_dict(doc), SX)
+        (d,) = serialize.directions_from_json_list([{"theta": 1, "phi": 0}])
+        assert (d.theta, d.phi) == (1.0, 0.0)
