@@ -41,7 +41,6 @@ from .liouville import (
 )
 from .spin import (
     Direction,
-    QuadratureGrid,
     SpinState,
     SpinSystem,
     WeigertQuorum,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .frames import DualFrame, Quorum
 from .liouville import DimensionMismatchError, eig_hermitian, require_hermitian
-from .spin import Direction, SpinState, SpinSystem, WeigertQuorum, _EulerRotation
+from .spin import Direction, SpinState, SpinSystem, WeigertQuorum
 
 
 class DualCoefficientError(ValueError):
@@ -305,11 +305,8 @@ def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction)
     of sin^2(psi/2) e^{-i k psi} vanishes for |k| > 1.
     """
     a = _target(a, system.dim)
-    idx_f = m + system.s
-    idx = int(round(idx_f))
-    if abs(idx_f - idx) > 1e-9 or not (0 <= idx < system.dim):
-        raise ValueError(f"m = {m} is not an eigenvalue of a spin-{system.s} component")
-    diag = _EulerRotation(system).diagonals(np.array([n.theta]), np.array([n.phi]), a[None])
+    idx = system.m_index(m)
+    diag = system.diagonals(np.array([n.theta]), np.array([n.phi]), a[None])
     return float(_direction_kernel_rows(diag, system.dim).reshape(-1)[idx])
 
 
@@ -317,21 +314,18 @@ def _continuous_tables(a: np.ndarray, system: SpinSystem, state):
     """One pooled row of (grid node, outcome) cells for the count engine.
 
     The direction average is a spherical polynomial of degree <= 4s, so
-    the Gauss-Legendre x trapezoid grid of n_theta x n_phi nodes computes
-    it exactly.  Cell (f, m) is drawn with probability w_f p[f, m], where
-    w_f is node f's normalised weight and p[f] its clipped, normalised Born
-    row, and is worth the kernel K[f, m]; so sum_f w_f sum_m p K = Tr[rho a].
+    the system's direction grid computes it exactly.  Cell (f, m) is drawn
+    with probability w_f p[f, m], where w_f is node f's grid weight and
+    p[f] its clipped, normalised Born row, and is worth the kernel K[f, m];
+    so sum_f w_f sum_m p K = Tr[rho a].
     """
     a = _target(a, system.dim)
     weights, rows = _state_factors(state, system.dim)
     rho = (rows.T * weights) @ rows.conj()
-    n_theta, n_phi = system.two_s + 4, 2 * system.two_s + 6
-    cos_nodes, w_cos = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    born, diag = _EulerRotation(system).diagonals(np.arccos(cos_nodes), phi, np.stack([rho, a]))
+    theta, phi, w = system.direction_grid()
+    born, diag = system.diagonals(theta, phi, np.stack([rho, a]))
     born = np.clip(born, 0.0, 1.0)
-    # the weights w_cos sum to 2 and the phi nodes are equal
-    born *= (w_cos / (2 * n_phi))[:, None, None] / born.sum(axis=-1, keepdims=True)
+    born *= w[:, None, None] / born.sum(axis=-1, keepdims=True)
     return born.reshape(1, -1), _direction_kernel_rows(diag, system.dim).reshape(1, -1), 0.0
 
 

@@ -74,6 +74,8 @@ class ExperimentConfig:
             )
         if self.quorum == "weigert" and not given:
             raise ValueError("the Weigert quorum needs a directions file or a weigert_seed")
+        if len(given) == 2:
+            raise ValueError("give either directions_file or weigert_seed, not both")
         if self.quorum == "pauli" and self.spin_two_s != 1:
             raise ValueError("the Pauli quorum requires spin_two_s = 1")
 

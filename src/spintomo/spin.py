@@ -10,7 +10,9 @@ onto maximal spin states along generic directions.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,61 @@ class SpinSystem:
         """Spin component S.n for a unit direction."""
         v = n.unit_vector if isinstance(n, Direction) else np.asarray(n, dtype=float)
         return v[0] * self.sx + v[1] * self.sy + v[2] * self.sz
+
+    def m_index(self, m: float) -> int:
+        """Basis index of the eigenvalue m of a spin component, m = -s ... s."""
+        idx = m + self.s
+        i = int(round(idx))
+        if abs(idx - i) > 1e-9 or not (0 <= i < self.dim):
+            raise ValueError(f"m = {m} is not an eigenvalue of a spin-{self.s} component")
+        return i
+
+    @functools.cached_property
+    def _sy_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """S_y = W diag(mu) W^dag, diagonalised once per system."""
+        return eig_hermitian(self.sy)
+
+    def rotated_basis(self, theta, phi) -> np.ndarray:
+        """Rows R|m>, m ascending, of R = exp(-i phi S_z) exp(-i theta S_y): (F, d, d).
+
+        R S_z R^dag = S.n for n = (sin theta cos phi, sin theta sin phi,
+        cos theta), so row m is the eigenvector of S.n with eigenvalue m.
+        A direction costs two diagonal phases and a d x d product with W^T.
+        """
+        mu, w = self._sy_eigensystem
+        theta, phi = np.atleast_1d(theta), np.atleast_1d(phi)
+        rows = w.conj()[None] * np.exp(-1j * theta[:, None, None] * mu)
+        rows = (rows.reshape(-1, self.dim) @ w.T).reshape(rows.shape)
+        return rows * np.exp(-1j * phi[:, None, None] * (np.arange(self.dim) - self.s))
+
+    def diagonals(self, theta: np.ndarray, phi: np.ndarray, ops: np.ndarray) -> np.ndarray:
+        """Re <R m|X|R m> for each X of ``ops`` (n, d, d) on the grid theta x phi.
+
+        Returns (n, len(theta), len(phi), d).  On a ring of fixed theta, R|m>
+        is c = exp(-i theta S_y)|m> with component k phased by exp(-i phi m_k),
+        so <R m|X|R m> = sum_kl conj(c_k) X_kl c_l exp(i phi (k - l)) is a
+        trigonometric polynomial in phi.  Its 2d - 1 coefficients are summed
+        once per ring, O(d^3), and evaluated at every phi by one product.
+        """
+        d = self.dim
+        c = self.rotated_basis(theta, np.zeros_like(theta))  # [ring, m, k]
+        c_lm = c.transpose(0, 2, 1)
+        by_freq = np.zeros((len(ops), theta.size, 2 * d - 1, d), dtype=complex)
+        for k in range(d):
+            terms = c[:, None, :, k].conj() * ops[:, None, k, :, None] * c_lm  # [X, ring, l, m]
+            # l = d-1 ... 0 has frequency k - l, stored at index k - l + d - 1
+            by_freq[:, :, k:k + d] += terms[:, :, ::-1]
+        return (np.exp(1j * np.outer(phi, np.arange(1 - d, d))) @ by_freq).real
+
+    def direction_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(theta, phi, w) of the (2s+4) x (4s+6) Gauss-Legendre x trapezoid grid.
+
+        It integrates the degree-4s direction average of the continuous
+        quorum exactly.  ``w`` is each ring's per-node weight
+        w_cos / (2 n_phi); over all nodes the weights sum to 1.
+        """
+        theta, phi, w_cos = _legendre_rings(self.two_s + 4, 2 * self.two_s + 6)
+        return theta, phi, w_cos / (2 * phi.size)
 
 
 def make_spin_system(two_s: int) -> SpinSystem:
@@ -116,12 +173,8 @@ class SpinState:
 
 def basis_state(system: SpinSystem, m: float) -> SpinState:
     """Eigenstate of S_z with eigenvalue m."""
-    idx = m + system.s
-    i = int(round(idx))
-    if abs(idx - i) > 1e-9 or not (0 <= i < system.dim):
-        raise ValueError(f"m = {m} is not in -s..s for s = {system.s}")
     amps = np.zeros(system.dim, dtype=complex)
-    amps[i] = 1.0
+    amps[system.m_index(m)] = 1.0
     return SpinState(amps)
 
 
@@ -136,57 +189,6 @@ def coherent_state(system: SpinSystem, alpha: complex) -> SpinState:
     h = 1j * (np.conj(alpha) * system.s_minus - alpha * system.s_plus)
     u = op_exp(h, 1.0)
     return SpinState(u[:, 0])
-
-
-class _EulerRotation:
-    """Rotations R(theta, phi) = exp(-i phi S_z) exp(-i theta S_y) of one spin.
-
-    R S_z R^dag = S.n for n = (sin theta cos phi, sin theta sin phi,
-    cos theta), so the column R|m> is the eigenvector of S.n with eigenvalue
-    m.  S_y = W diag(mu) W^dag is diagonalised once; a column R|m> then
-    costs two d x d products and two diagonal phases, with no per-direction
-    diagonalisation.  Vectors are stored as array rows.
-    """
-
-    def __init__(self, system: SpinSystem):
-        self.mu, self.w = eig_hermitian(system.sy)
-        self.m = np.arange(system.dim) - system.s
-
-    def phases(self, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal factors exp(-i theta mu) and exp(-i phi m), each (F, 1, d)."""
-        return (
-            np.exp(-1j * theta[:, None, None] * self.mu),
-            np.exp(-1j * phi[:, None, None] * self.m),
-        )
-
-    def columns(self, phases: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
-        """Rows R|idx> of shape (F, k, d); ``idx`` has shape (k,) or (F, k)."""
-        y_phase, z_phase = phases
-        return _rows_times(self.w.conj()[idx] * y_phase, self.w.T) * z_phase
-
-    def diagonals(self, theta: np.ndarray, phi: np.ndarray, ops: np.ndarray) -> np.ndarray:
-        """Re <R m|X|R m> for each X of ``ops`` (n, d, d) on the grid theta x phi.
-
-        Returns (n, len(theta), len(phi), d).  On a ring of fixed theta, R|m>
-        is c = exp(-i theta S_y)|m> with component k phased by exp(-i phi m_k),
-        so <R m|X|R m> = sum_kl conj(c_k) X_kl c_l exp(i phi (k - l)) is a
-        trigonometric polynomial in phi.  Its 2d - 1 coefficients are summed
-        once per ring, O(d^3), and evaluated at every phi by one product.
-        """
-        d = self.m.size
-        c = self.columns(self.phases(theta, np.zeros_like(theta)), np.arange(d))  # [ring, m, k]
-        c_lm = c.transpose(0, 2, 1)
-        by_freq = np.zeros((len(ops), theta.size, 2 * d - 1, d), dtype=complex)
-        for k in range(d):
-            terms = c[:, None, :, k].conj() * ops[:, None, k, :, None] * c_lm  # [X, ring, l, m]
-            # l = d-1 ... 0 has frequency k - l, stored at index k - l + d - 1
-            by_freq[:, :, k:k + d] += terms[:, :, ::-1]
-        return (np.exp(1j * np.outer(phi, np.arange(1 - d, d))) @ by_freq).real
-
-
-def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat over the last axis, as one (rows, d) x (d, d') matrix product."""
-    return (x.reshape(-1, x.shape[-1]) @ mat).reshape(x.shape[:-1] + mat.shape[1:])
 
 
 def rotation_d(system: SpinSystem, psi: float, n: Direction) -> np.ndarray:
@@ -240,8 +242,7 @@ class WeigertQuorum:
 
 def max_spin_projector(system: SpinSystem, n: Direction) -> np.ndarray:
     """Projector |n><n| onto the top (eigenvalue s) eigenvector of S.n."""
-    _, v = eig_hermitian(system.spin_along(n))
-    top = v[:, -1]
+    top = system.rotated_basis(n.theta, n.phi)[0, -1]
     return np.outer(top, top.conj())
 
 
@@ -265,7 +266,9 @@ def weigert_quorum(system: SpinSystem, directions: list[Direction]) -> WeigertQu
     if close.size:
         i, j = close[0]
         raise SingularGramError(float("inf"), detail=f"directions {i} and {j} coincide")
-    projectors = [max_spin_projector(system, n) for n in directions]
+    # the top rows R|s> of all directions in one batch, as in max_spin_projector
+    top = system.rotated_basis([n.theta for n in directions], [n.phi for n in directions])[:, -1]
+    projectors = top[:, :, None] * top[:, None, :].conj()
     labels = [f"n_{k}({d.theta:.12g},{d.phi:.12g})" for k, d in enumerate(directions)]
     quorum = Quorum.from_elements(projectors, labels)
     dual, condition = _gram_dual(quorum, WEIGERT_CONDITION_CAP)
@@ -302,33 +305,18 @@ def random_directions(count: int, seed: int) -> list[Direction]:
     return [Direction(math.acos(c), p) for c, p in zip(cos_theta, phi)]
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Node counts for the product rule on (cos theta, phi, psi).
-
-    Gauss-Legendre in cos(theta), uniform trapezoid in phi and psi: the
-    integrands are polynomials in cos(theta) and trigonometric polynomials
-    with integer frequencies in phi and psi, which the trapezoid rule
-    integrates exactly once the node count exceeds the highest frequency.
-    """
-
-    n_theta: int
-    n_phi: int
-    n_psi: int
-
-    def __post_init__(self):
-        if min(self.n_theta, self.n_phi, self.n_psi) < 8:
-            raise ValueError(
-                f"degenerate grid {self.n_theta, self.n_phi, self.n_psi}: "
-                "all node counts must be >= 8"
-            )
+def _grid_counts(grid) -> tuple[int, ...]:
+    """(n_theta, n_phi, n_psi), each an integer >= 8; a float is refused, not truncated."""
+    counts = tuple(operator.index(n) for n in grid)
+    if min(counts) < 8:
+        raise ValueError(f"degenerate grid {counts}: all node counts must be >= 8")
+    return counts
 
 
-def _as_grid(grid) -> QuadratureGrid:
-    if isinstance(grid, QuadratureGrid):
-        return grid
-    nt, nphi, npsi = grid
-    return QuadratureGrid(int(nt), int(nphi), int(npsi))
+def _legendre_rings(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ring angles theta, equal phi nodes on [0, 2 pi) and the Gauss-Legendre weights w_cos."""
+    cos_nodes, w_cos = np.polynomial.legendre.leggauss(n_theta)
+    return np.arccos(cos_nodes), 2 * np.pi * np.arange(n_phi) / n_phi, w_cos
 
 
 def _psi_rule(n_psi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,9 +327,9 @@ def _psi_rule(n_psi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def haar_volume(grid) -> float:
     """Quadrature value of the group volume integral; exact value 4 pi^2."""
-    g = _as_grid(grid)
-    _, w_cos = np.polynomial.legendre.leggauss(g.n_theta)
-    _, w_psi = _psi_rule(g.n_psi)
+    n_theta, _, n_psi = _grid_counts(grid)
+    _, w_cos = np.polynomial.legendre.leggauss(n_theta)
+    _, w_psi = _psi_rule(n_psi)
     return float(np.sum(w_cos)) * (2 * math.pi) * float(np.sum(w_psi))
 
 
@@ -352,23 +340,27 @@ def su2_orthogonality_residual(system: SpinSystem, grid) -> float:
     sin^2(psi/2) sin(theta) dtheta dphi dpsi and prefactor (2s+1)/(4 pi^2),
     the products <j|exp(i psi n.S)|r><t|exp(-i psi n.S)|k> over the group,
     and returns the maximum deviation from delta_jk delta_tr.
-    """
-    g = _as_grid(grid)
-    d = system.dim
-    cos_nodes, w_cos = np.polynomial.legendre.leggauss(g.n_theta)
-    psi, w_psi = _psi_rule(g.n_psi)
-    phi = 2 * math.pi * np.arange(g.n_phi) / g.n_phi
-    w_phi = 2 * math.pi / g.n_phi
 
-    euler = _EulerRotation(system)
-    psi_phase = np.exp(1j * np.outer(psi, euler.m))  # (psi, d)
-    w_slab = np.tile(w_psi, g.n_phi)[:, None]  # (phi * psi, 1), phi-major
+    ``grid`` holds the node counts (n_theta, n_phi, n_psi), each >= 8, of
+    the product rule: Gauss-Legendre in cos(theta), uniform trapezoid in phi
+    and psi.  The integrands are polynomials in cos(theta) and
+    trigonometric polynomials with integer frequencies in phi and psi,
+    which the trapezoid rule integrates exactly once the node count exceeds
+    the highest frequency.
+    """
+    n_theta, n_phi, n_psi = _grid_counts(grid)
+    d = system.dim
+    thetas, phi, w_cos = _legendre_rings(n_theta, n_phi)
+    psi, w_psi = _psi_rule(n_psi)
+    w_phi = 2 * math.pi / n_phi
+
+    psi_phase = np.exp(1j * np.outer(psi, np.arange(d) - system.s))  # (psi, d)
+    w_slab = np.tile(w_psi, n_phi)[:, None]  # (phi * psi, 1), phi-major
     acc = np.zeros((d * d, d * d), dtype=complex)
     # One theta slab at a time keeps memory flat; the slab order is fixed so
     # the summation is deterministic.
-    for it in range(g.n_theta):
-        theta = np.full(g.n_phi, math.acos(cos_nodes[it]))
-        rot = euler.columns(euler.phases(theta, phi), np.arange(d)).transpose(0, 2, 1)  # R[f, j, l]
+    for it in range(n_theta):
+        rot = system.rotated_basis(np.full(n_phi, thetas[it]), phi).transpose(0, 2, 1)  # R[f, j, l]
         # exp(i psi S.n) = R exp(i psi S_z) R^dag, one (d^2)-vector per (phi, psi)
         u = (rot[:, None] * psi_phase[None, :, None, :]) @ rot.conj().transpose(0, 2, 1)[:, None]
         u = u.reshape(-1, d * d)

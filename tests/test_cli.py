@@ -224,10 +224,21 @@ class TestSimulate:
              "weigert_seed applies only to the Weigert quorum, not to quorum 'pauli'"),
             ([], {"quorum": "continuous", "directions_file": "dirs.json"},
              "directions_file applies only to the Weigert quorum, not to quorum 'continuous'"),
+            # a directions file and a seed together: one of them would be ignored
+            (["--quorum", "weigert", "--directions", "dirs.json", "--weigert-seed", "5"], {},
+             "give either directions_file or weigert_seed, not both"),
+            (["--weigert-seed", "5"], {"quorum": "weigert", "directions_file": "dirs.json"},
+             "give either directions_file or weigert_seed, not both"),
         ],
-        ids=["flag", "config-key"],
+        ids=["flag", "config-key", "directions-and-seed-flags", "directions-key-and-seed-flag"],
     )
-    def test_weigert_inputs_refused_for_other_quorums(self, runner, tmp_path, args, cfg, message):
+    def test_weigert_inputs_refused_for_other_quorums(
+        self, runner, tmp_path, monkeypatch, args, cfg, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dirs.json").write_text(
+            serialize.dumps(serialize.directions_to_json_list(random_directions(4, 7)))
+        )
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         result = runner.invoke(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spintomo import (
     Direction,
-    QuadratureGrid,
     SingularGramError,
     SpinState,
     basis_state,
@@ -23,6 +22,7 @@ from spintomo import (
     random_directions,
     random_hermitian,
     rotation_d,
+    spin,
     su2_orthogonality_residual,
     superop_from_frame,
     tetrahedral_directions,
@@ -188,15 +188,31 @@ class TestWeigert:
         )
         assert np.abs(delta - np.eye(4)).max() <= 1e-9
 
-    def test_projector_properties(self):
-        sys_ = make_spin_system(3)
-        for n in random_directions(6, seed=2):
+    @pytest.mark.parametrize("two_s", [1, 3, 7, 15])
+    def test_projector_properties(self, two_s, monkeypatch):
+        # random sets past d = 8 exceed the conditioning cap; only the
+        # projectors are checked here, so the cap is lifted
+        monkeypatch.setattr(spin, "WEIGERT_CONDITION_CAP", math.inf)
+        sys_ = make_spin_system(two_s)
+        tol = 1e-13 * sys_.dim
+        dirs = random_directions(sys_.dim**2, seed=2)
+        wq = weigert_quorum(sys_, dirs)
+        rows = sys_.rotated_basis([n.theta for n in dirs], [n.phi for n in dirs])
+        m = np.arange(sys_.dim) - sys_.s
+        for n, batched, r in zip(dirs, wq.projectors, rows):
+            s_n = sys_.spin_along(n)
+            top = np.linalg.eigh(s_n)[1][:, -1]
+            want = np.outer(top, top.conj())
             p = max_spin_projector(sys_, n)
+            assert np.abs(p - want).max() <= tol
+            assert np.abs(batched - want).max() <= tol
             assert np.abs(p @ p - p).max() <= 1e-10
             assert np.trace(p).real == pytest.approx(1, abs=1e-12)
             # top eigenvector: S.n expectation is s
-            val = np.trace(sys_.spin_along(n) @ p).real
+            val = np.trace(s_n @ p).real
             assert val == pytest.approx(sys_.s, abs=1e-10)
+            # row m of the rotated basis is the eigenvector of S.n for m
+            assert np.abs(r @ s_n.T - m[:, None] * r).max() <= tol
 
     def test_coincident_directions_rejected(self):
         sys_ = make_spin_system(1)
@@ -234,6 +250,10 @@ class TestGroupOrthogonality:
         # the trapezoid rule in psi integrates sin^2(psi/2) exactly
         assert haar_volume((8, 8, 8)) == pytest.approx(4 * np.pi**2, rel=1e-8)
         assert haar_volume((32, 32, 64)) == pytest.approx(4 * np.pi**2, rel=1e-14)
+        for two_s in (1, 7):
+            theta, phi, w = make_spin_system(two_s).direction_grid()
+            assert (theta.size, phi.size) == (two_s + 4, 2 * two_s + 6)
+            assert np.sum(w) * phi.size == pytest.approx(1, rel=1e-14)
 
     def test_residual_spin_half(self):
         sys_ = make_spin_system(1)
@@ -254,8 +274,11 @@ class TestGroupOrthogonality:
             assert fine <= 1.1 * coarse + 1e-12
 
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            QuadratureGrid(4, 8, 8)
         sys_ = make_spin_system(1)
         with pytest.raises(ValueError, match="degenerate"):
+            su2_orthogonality_residual(sys_, (4, 8, 8))
+        with pytest.raises(ValueError, match="degenerate"):
             su2_orthogonality_residual(sys_, (8, 8, 4))
+        # a float count is refused, not truncated to 8
+        with pytest.raises(TypeError):
+            su2_orthogonality_residual(sys_, (8.5, 8, 8))
