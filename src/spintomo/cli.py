@@ -175,14 +175,15 @@ def quorum_check(quorum_file, pauli, trials, seed, out):
 def quorum_dual(quorum_file, pauli, method, subspace, out):
     """Construct the dual frame and report its residuals."""
     q = _resolve_quorum(quorum_file, pauli)
+    # Refused before either route: the Gram route inverts any independent set,
+    # complete or not, and fails on a dependent one with its own error.
+    report = frames.completeness_check(q)
+    if not report.complete and not subspace:
+        raise IncompleteQuorumError(report)
     if method == "gs":
         dual = frames.dual_via_gram_schmidt(q, allow_subspace=subspace)
     else:
         dual = frames.dual_via_gram_inverse(q)
-        # The Gram route inverts any independent set, complete or not.
-        report = frames.completeness_check(q)
-        if not report.complete and not subspace:
-            raise IncompleteQuorumError(report)
     duality = frames.reproducing_kernel_residual(q, dual)
     superop = frames.superop_from_frame(q.elements, dual.elements)
     frame_res = float(np.abs(superop - np.eye(q.dim**2)).max())

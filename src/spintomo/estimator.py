@@ -175,11 +175,16 @@ def _block_counts(probs: np.ndarray, sizes: np.ndarray, seed: int):
         yield np.random.default_rng([seed, bi]).multinomial(nb, probs)
 
 
-def _count_block_means(tables, sizes: np.ndarray, seed: int) -> np.ndarray:
-    """Block means with ``sizes[b]`` shots of every setting in block b."""
+def _estimate(tables, quota, n_blocks, seed, what, estimator, convention) -> RunStats:
+    """Blocked estimate with ``quota`` shots of every setting of ``tables``.
+
+    ``what`` names the quota in the error raised when it cannot fill the blocks.
+    """
     probs, values, constant = tables
-    counts = _block_counts(probs, sizes, seed)
-    return np.array([constant + float(np.sum(c * values)) / nb for nb, c in zip(sizes, counts)])
+    sizes = _blocks(quota, n_blocks, what)
+    counts = zip(sizes, _block_counts(probs, sizes, seed))
+    block_means = np.array([constant + float(np.sum(c * values)) / nb for nb, c in counts])
+    return _stats_from_blocks(block_means, sizes, quota * len(probs), estimator, seed, convention)
 
 
 def _exact_contraction(tables) -> float:
@@ -218,8 +223,6 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     sampled = _is_sampled(w)
     constant = sum((float(row.mean()) for row in values[~sampled]), 0.0)
     values = values[sampled]
-    if not sampled.any():
-        return np.zeros_like(values), values, constant
     # Born rows p[x, m] = sum_k weights[k] |<v_xm|factor_k>|^2
     amp = factors.conj() @ v[sampled]
     rows = np.clip(np.einsum("k,xkm->xm", weights, amp.real**2 + amp.imag**2), 0.0, 1.0)
@@ -252,23 +255,15 @@ def estimate_discrete(
     if selection not in ("quota", "uniform"):
         raise ValueError(f"unknown selection convention {selection!r}")
     convention = "per_setting_quota" if selection == "quota" else "uniform_setting"
-    probs, values, constant = _discrete_tables(a, quorum, dual, state)
-    n_active = probs.shape[0]
-    if not n_active:
-        # Every setting is exact: n_blocks one-shot blocks of the constant.
-        sizes = _blocks(n_blocks, n_blocks, "n_blocks")
-        return _stats_from_blocks(
-            np.full(n_blocks, constant), sizes, 0, "discrete", seed, convention
-        )
-    sizes = _blocks(samples_per_setting, n_blocks, "samples_per_setting")
-    total = samples_per_setting * n_active
-    if selection == "uniform":
+    tables = probs, values, constant = _discrete_tables(a, quorum, dual, state)
+    quota, what, n_active = samples_per_setting, "samples_per_setting", probs.shape[0]
+    if selection == "uniform" and n_active:
+        _blocks(quota, n_blocks, what)
         # A uniformly drawn setting is one setting whose outcomes are all
         # (setting, outcome) pairs, each worth n_active times its value.
-        probs, values = probs.reshape(1, -1) / n_active, n_active * values.reshape(1, -1)
-        sizes = _blocks(total, n_blocks, "total")
-    block_means = _count_block_means((probs, values, constant), sizes, seed)
-    return _stats_from_blocks(block_means, sizes, total, "discrete", seed, convention)
+        tables = probs.reshape(1, -1) / n_active, n_active * values.reshape(1, -1), constant
+        quota, what = quota * n_active, "total"
+    return _estimate(tables, quota, n_blocks, seed, what, "discrete", convention)
 
 
 def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) -> float:
@@ -347,9 +342,8 @@ def estimate_continuous(
     quorums, each block draws those counts in one multinomial; time and
     memory do not grow with n_samples.
     """
-    sizes = _blocks(n_samples, n_blocks, "n_samples")
-    block_means = _count_block_means(_continuous_tables(a, system, state), sizes, seed)
-    return _stats_from_blocks(block_means, sizes, n_samples, "continuous", seed, "grid_direction")
+    tables = _continuous_tables(a, system, state)
+    return _estimate(tables, n_samples, n_blocks, seed, "n_samples", "continuous", "grid_direction")
 
 
 def continuous_exact_value(a: np.ndarray, system: SpinSystem, state) -> float:
@@ -395,12 +389,8 @@ def estimate_weigert(
     frequency of the top outcome estimates p(s, n_k), weighted by
     Tr[a Q^k] over the dual projectors, with no extra factor of the spin.
     """
-    sizes = _blocks(samples_per_direction, n_blocks, "samples_per_direction")
-    block_means = _count_block_means(_weigert_tables(a, wq, state), sizes, seed)
-    return _stats_from_blocks(
-        block_means, sizes, samples_per_direction * len(wq),
-        "weigert", seed, "per_direction_quota",
-    )
+    return _estimate(_weigert_tables(a, wq, state), samples_per_direction, n_blocks, seed,
+                     "samples_per_direction", "weigert", "per_direction_quota")
 
 
 def weigert_exact_value(a: np.ndarray, wq: WeigertQuorum, state) -> float:

@@ -15,7 +15,9 @@ import numpy as np
 
 from . import serialize
 from .estimator import (
-    _is_sampled,
+    _continuous_tables,
+    _discrete_tables,
+    _weigert_tables,
     estimate_continuous,
     estimate_discrete,
     estimate_weigert,
@@ -103,13 +105,18 @@ def _load_operator(path: str) -> np.ndarray:
 
 def resolve_state(cfg: ExperimentConfig, system: SpinSystem) -> SpinState | np.ndarray:
     kind, _, arg = cfg.state.partition(":")
-    if kind == "coherent":
-        return coherent_state(system, complex(arg or "0"))
-    if kind == "basis":
-        return basis_state(system, float(arg))
     if kind == "density":
         return _load_operator(arg)
-    raise ValueError(f"unknown state spec {cfg.state!r}; use coherent:A, basis:M or density:PATH")
+    if kind not in ("coherent", "basis"):
+        raise ValueError(
+            f"unknown state spec {cfg.state!r}; use coherent:A, basis:M or density:PATH"
+        )
+    try:
+        value = complex(arg or "0") if kind == "coherent" else float(arg)
+    except ValueError as err:
+        number = "complex" if kind == "coherent" else "real"
+        raise ValueError(f"state spec {cfg.state!r}: {arg!r} is not a {number} number") from err
+    return (coherent_state if kind == "coherent" else basis_state)(system, value)
 
 
 def resolve_target(cfg: ExperimentConfig, system: SpinSystem) -> np.ndarray:
@@ -124,23 +131,15 @@ def resolve_target(cfg: ExperimentConfig, system: SpinSystem) -> np.ndarray:
 def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
     """Return run(n_samples, seed) -> RunStats for the configured quorum.
 
-    ``n_samples`` is the total sample budget.  The Pauli and Weigert
-    quorums give each of their n_active sampled settings the quota
-    n_samples // n_active, which must fill the blocks.
+    ``n_samples`` is the total sample budget.  Every quorum gives each of
+    the n_active settings of its count table the quota n_samples // n_active,
+    which must fill the blocks; the continuous grid is one pooled setting.
     """
     if cfg.quorum == "continuous":
-        return lambda n, seed: estimate_continuous(
-            target, system, state, n, n_blocks=cfg.n_blocks, seed=seed
-        )
-    if cfg.quorum == "pauli":
+        estimate, tables, args = estimate_continuous, _continuous_tables, (target, system, state)
+    elif cfg.quorum == "pauli":
         quorum, dual = pauli_quorum()
-        n_active = int(np.sum(_is_sampled(np.linalg.eigvalsh(quorum.elements))))
-        unit = "setting"
-
-        def estimate(quota: int, seed: int):
-            return estimate_discrete(
-                target, quorum, dual, state, quota, n_blocks=cfg.n_blocks, seed=seed
-            )
+        estimate, tables, args = estimate_discrete, _discrete_tables, (target, quorum, dual, state)
     else:  # weigert
         if cfg.directions_file is not None:
             doc = serialize.load_json_file(cfg.directions_file)
@@ -148,18 +147,16 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
         else:
             directions = random_directions(system.dim**2, cfg.weigert_seed)
         wq = weigert_quorum(system, directions)
-        n_active, unit = len(wq), "direction"
-
-        def estimate(quota: int, seed: int):
-            return estimate_weigert(target, wq, state, quota, n_blocks=cfg.n_blocks, seed=seed)
+        estimate, tables, args = estimate_weigert, _weigert_tables, (target, wq, state)
+    n_active = len(tables(*args)[0])
 
     def run(n: int, seed: int):
         quota = n // n_active
         if quota < cfg.n_blocks:
             raise ValueError(
-                f"n_samples = {n} gives {quota} per {unit}, below n_blocks = {cfg.n_blocks}"
+                f"n_samples = {n} gives {quota} per setting, below n_blocks = {cfg.n_blocks}"
             )
-        return estimate(quota, seed)
+        return estimate(*args, quota, n_blocks=cfg.n_blocks, seed=seed)
 
     return run
 

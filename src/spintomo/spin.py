@@ -141,6 +141,8 @@ class Direction:
     def __post_init__(self):
         if not (0.0 <= self.theta <= math.pi + 1e-12):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
 
     @property
     def unit_vector(self) -> np.ndarray:

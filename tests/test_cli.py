@@ -13,7 +13,7 @@ from spintomo import (
     weigert_exact_value,
 )
 from spintomo.cli import main
-from spintomo.experiments import ExperimentConfig
+from spintomo.experiments import ExperimentConfig, build_runner
 from spintomo.spin import (
     coherent_state,
     make_spin_system,
@@ -157,10 +157,20 @@ class TestQuorumDual:
         ok = runner.invoke(main, args + ["--subspace"])
         assert ok.exit_code == 0, ok.output
 
+    @pytest.mark.parametrize("method", ["gs", "gram"])
+    def test_dependent_incomplete_refused(self, runner, tmp_path, method):
+        # rank 2 of 4: the Gram route must see the rank before the dependence
+        path = write_quorum(tmp_path / "q.json", [SX, SZ, 2 * SZ])
+        result = runner.invoke(main, ["quorum", "dual", str(path), "--method", method])
+        assert result.exit_code == 1
+        assert "quorum is incomplete: rank 2 of 4" in result.output
+        assert "pass --subspace" in result.output
+
     def test_duplicate_projectors_singular(self, runner, tmp_path):
+        # complete, so the Gram route is reached and refuses the duplicate
         sys_ = make_spin_system(1)
         p = max_spin_projector(sys_, tetrahedral_directions()[0])
-        path = write_quorum(tmp_path / "q.json", [p, p, SX, SY])
+        path = write_quorum(tmp_path / "q.json", [p, p, SX, SY, SZ])
         result = runner.invoke(main, ["quorum", "dual", str(path), "--method", "gram"])
         assert result.exit_code == 1
         assert "condition" in result.output
@@ -182,13 +192,24 @@ class TestSimulate:
         assert doc["exact"] == pytest.approx(-np.cos(4) / 2)
 
     def test_zero_samples_rejected(self, runner):
-        # one budget rule per quorum: the Pauli quota, the continuous blocks
+        # one budget rule for every quorum; the continuous grid is one pooled setting
         result = runner.invoke(main, ["simulate", "--n-samples", "0"])
         assert result.exit_code == 2
         assert "error: n_samples = 0 gives 0 per setting, below n_blocks = 20" in result.output
         result = runner.invoke(main, ["simulate", "--quorum", "continuous", "--n-samples", "10"])
         assert result.exit_code == 2
-        assert "error: n_samples = 10 cannot fill 20 blocks" in result.output
+        assert "error: n_samples = 10 gives 10 per setting, below n_blocks = 20" in result.output
+
+    @pytest.mark.parametrize("quorum, n_active", [("pauli", 3), ("continuous", 1), ("weigert", 4)])
+    def test_runner_quota_per_count_table_setting(self, quorum, n_active):
+        system = make_spin_system(1)
+        cfg = ExperimentConfig(quorum=quorum, weigert_seed=5 if quorum == "weigert" else None)
+        run = build_runner(cfg, system, coherent_state(system, 2), system.sz)
+        n = 21 * n_active - 1  # a quota of 20 and a remainder that is not spent
+        assert run(n, 1).n_samples == 20 * n_active
+        message = f"^n_samples = {n - n_active} gives 19 per setting, below n_blocks = 20$"
+        with pytest.raises(ValueError, match=message):
+            run(n - n_active, 1)
 
     def test_pauli_needs_spin_half(self, runner):
         result = runner.invoke(
@@ -196,6 +217,20 @@ class TestSimulate:
         )
         assert result.exit_code == 2
         assert "spin_two_s" in result.output
+
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_weigert_direction_phi_must_be_finite(self, runner, tmp_path, phi):
+        dirs = tmp_path / "dirs.json"
+        items = [{"theta": 0.3, "phi": phi}] + serialize.directions_to_json_list(
+            random_directions(3, 7)
+        )
+        dirs.write_text(json.dumps(items))
+        result = runner.invoke(
+            main,
+            ["simulate", "--quorum", "weigert", "--directions", str(dirs), "--n-samples", "4000"],
+        )
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == f"error: phi must be finite, got {phi}"
 
     def test_weigert_direction_count_enforced(self, runner, tmp_path):
         dirs = tmp_path / "dirs.json"
@@ -336,6 +371,9 @@ class TestSimulate:
          "directions_file must be a string, got 0"),
         # open(True) would read file descriptor 1
         ({"quorum": "weigert", "directions_file": True}, "directions_file must be a string, got True"),
+        # a state spec whose argument does not parse is named in the refusal
+        ({"state": "coherent:xyz"}, "state spec 'coherent:xyz': 'xyz' is not a complex number"),
+        ({"state": "basis:abc"}, "state spec 'basis:abc': 'abc' is not a real number"),
     ]
 
     @pytest.mark.parametrize(
@@ -489,8 +527,11 @@ class TestFig1:
         "args, message",
         [
             (["--n-blocks", "1"], "n_blocks must be >= 2"),
-            (["--n-max", "30", "--n-blocks", "50"], "n_samples = 30 cannot fill 50 blocks"),
-            (["--n-max", "1000", "--n-blocks", "200"], "n_samples = 100 cannot fill 200 blocks"),
+            # the continuous series is one pooled setting: its quota is the budget
+            (["--n-max", "30", "--n-blocks", "50"],
+             "n_samples = 30 gives 30 per setting, below n_blocks = 50"),
+            (["--n-max", "1000", "--n-blocks", "200"],
+             "n_samples = 100 gives 100 per setting, below n_blocks = 200"),
             (["--checkpoints", "0"], "the checkpoint count must be >= 1, got 0"),
             # the Pauli series spends n // 3 per setting, as simulate does
             (["--n-max", "50"], "n_samples = 50 gives 16 per setting, below n_blocks = 20"),

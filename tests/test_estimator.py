@@ -252,6 +252,19 @@ class TestDiscreteEstimator:
         with pytest.raises(error, match=match):
             discrete_exact_value(np.eye(2), q, dual, state)
 
+    @pytest.mark.parametrize("selection", ["quota", "uniform"])
+    def test_exact_settings_spend_no_samples(self, coherent2, selection):
+        # an all-exact quorum is a count table with no settings: every block
+        # mean is the constant, and the quota must still fill the blocks
+        q = Quorum.from_elements([np.eye(2)])
+        dual = DualFrame.from_elements([np.eye(2) / 2])
+        stats = estimate_discrete(0.7 * np.eye(2), q, dual, coherent2, 20, selection=selection)
+        assert stats.n_samples == 0
+        assert stats.block_means == (0.7,) * 20
+        assert stats.mean == pytest.approx(0.7, abs=1e-15)
+        with pytest.raises(ValueError, match="^samples_per_setting = 19 cannot fill 20 blocks$"):
+            estimate_discrete(0.7 * np.eye(2), q, dual, coherent2, 19, selection=selection)
+
     def test_non_hermitian_setting_named(self, coherent2):
         q = Quorum.from_elements([SX, np.array([[0, 1], [0, 0]]), SZ], labels=["x", "bad", "z"])
         dual = DualFrame.from_elements([SX / 2, SX / 2, SZ / 2])

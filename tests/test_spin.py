@@ -69,6 +69,11 @@ class TestDirections:
         with pytest.raises(ValueError):
             Direction(4.0, 0.0)
 
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_phi_must_be_finite(self, phi):
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {phi}$"):
+            Direction(0.3, phi)
+
     def test_random_directions_seeded(self):
         assert random_directions(5, 3) == random_directions(5, 3)
 
