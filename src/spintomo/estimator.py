@@ -12,9 +12,11 @@ observables with its dual frame, the continuous spin-direction quorum
 (directions drawn from the exact quadrature grid of the direction average,
 with the rotation integral reduced to a closed-form outcome kernel), and
 the Weigert projector quorum.  Every estimator sees a block only through
-the count of each (setting, outcome) pair, which is multinomial with the
-Born probabilities, so it draws those counts directly and its cost does
-not grow with the sample budget.
+the sum of its outcome values, whose law is set by the multinomial counts
+of the (setting, outcome) cells.  A block of nb shots per setting draws
+those counts in one multinomial when nb is at least the M cells of a row,
+and otherwise draws its shots by inverse transform, so per block it costs
+O(min(nb log M, M)) time and O(cells) memory.
 """
 
 from __future__ import annotations
@@ -166,13 +168,44 @@ def _stats_from_blocks(
 # adds values[k, m]; constant is the exact share of settings that need no
 # samples.
 
-def _block_counts(probs: np.ndarray, sizes: np.ndarray, seed: int):
-    """Outcome counts of each block: ``nb`` shots of every setting per block.
+def _shot_table(probs: np.ndarray) -> np.ndarray:
+    """Flat cumulative table of the shot route: row k is k + the row's normalised cumsum.
 
-    Block bi draws all its counts at once from ``default_rng([seed, bi])``.
+    Dividing by the row's last entry ends row k at exactly k + 1, so a
+    uniform u in [0, 1) shifted by k, and kept below k + 1, falls in row k;
+    a cell of zero probability is an empty interval that no u can fall in.
     """
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    cum += np.arange(len(probs))[:, None]
+    return cum.ravel()
+
+
+def _block_sums(probs: np.ndarray, values: np.ndarray, sizes: np.ndarray, seed: int):
+    """Sum of the outcome values of each block: ``nb`` shots of every setting per block.
+
+    Block bi draws from ``default_rng([seed, bi])``, by whichever route is
+    cheaper for its shots nb and the M cells of a row.  For nb >= M it
+    draws the counts of every cell in one multinomial, O(M).  For nb < M
+    it draws the shots themselves by inverse transform, one uniform per
+    shot looked up in the cumulative table, O(nb log M).  Both draw the
+    same multinomial law; memory is O(cells) either way.
+    """
+    rows, cells = probs.shape
+    offsets = np.arange(rows)[:, None]
+    # the largest double below k + 1: u + k may round up to k + 1, the next row
+    row_top = np.nextafter(offsets + 1.0, 0.0)
+    table = _shot_table(probs) if sizes.min() < cells else None
+    flat_values = values.ravel()
     for bi, nb in enumerate(sizes):
-        yield np.random.default_rng([seed, bi]).multinomial(nb, probs)
+        rng = np.random.default_rng([seed, bi])
+        if nb >= cells:
+            yield float(np.sum(rng.multinomial(nb, probs) * values))
+        else:
+            u = rng.random((rows, nb))
+            u += offsets
+            np.minimum(u, row_top, out=u)
+            yield float(np.sum(flat_values[np.searchsorted(table, u, side="right")]))
 
 
 def _estimate(tables, quota, n_blocks, seed, what, estimator, convention) -> RunStats:
@@ -182,8 +215,8 @@ def _estimate(tables, quota, n_blocks, seed, what, estimator, convention) -> Run
     """
     probs, values, constant = tables
     sizes = _blocks(quota, n_blocks, what)
-    counts = zip(sizes, _block_counts(probs, sizes, seed))
-    block_means = np.array([constant + float(np.sum(c * values)) / nb for nb, c in counts])
+    sums = zip(sizes, _block_sums(probs, values, sizes, seed))
+    block_means = np.array([constant + s / nb for nb, s in sums])
     return _stats_from_blocks(block_means, sizes, quota * len(probs), estimator, seed, convention)
 
 
@@ -247,10 +280,10 @@ def estimate_discrete(
     and sum across settings.  With ``selection="uniform"`` the same total
     budget is spent on uniformly random settings and each contribution is
     scaled by the number of sampled settings.  Both are unbiased; the
-    variance differs.  A block's mean depends on its shots only through the
-    count of each (setting, outcome) pair, so each block makes one
-    multinomial draw of those counts from a generator seeded per
-    (seed, block), so time and memory do not grow with the budget.
+    variance differs.  Each block draws from a generator seeded per
+    (seed, block), its counts or its shots, whichever is fewer, in
+    O(min(nb log M, M)) time and O(cells) memory for nb shots per setting
+    and M outcomes per row.
     """
     if selection not in ("quota", "uniform"):
         raise ValueError(f"unknown selection convention {selection!r}")
@@ -337,10 +370,9 @@ def estimate_continuous(
 
     Each sample draws one grid direction with its quadrature weight and one
     outcome m of S.n with its Born probability, and contributes the
-    closed-form outcome kernel.  A block sees its samples only through the
-    count of each (direction, outcome) cell, so, as for the discrete
-    quorums, each block draws those counts in one multinomial; time and
-    memory do not grow with n_samples.
+    closed-form outcome kernel.  As for the discrete quorums, each block
+    draws its counts of the M (direction, outcome) cells or its nb shots,
+    whichever is fewer, in O(min(nb log M, M)) time and O(cells) memory.
     """
     tables = _continuous_tables(a, system, state)
     return _estimate(tables, n_samples, n_blocks, seed, "n_samples", "continuous", "grid_direction")
@@ -388,6 +420,8 @@ def estimate_weigert(
     Each direction k gets ``samples_per_direction`` shots; the in-block
     frequency of the top outcome estimates p(s, n_k), weighted by
     Tr[a Q^k] over the dual projectors, with no extra factor of the spin.
+    As for every quorum, a block costs O(min(nb log M, M)) time per
+    direction, here with M = 2 outcomes, and O(cells) memory.
     """
     return _estimate(_weigert_tables(a, wq, state), samples_per_direction, n_blocks, seed,
                      "samples_per_direction", "weigert", "per_direction_quota")

@@ -356,17 +356,19 @@ def su2_orthogonality_residual(system: SpinSystem, grid) -> float:
     psi, w_psi = _psi_rule(n_psi)
     w_phi = 2 * math.pi / n_phi
 
-    psi_phase = np.exp(1j * np.outer(psi, np.arange(d) - system.s))  # (psi, d)
-    w_slab = np.tile(w_psi, n_phi)[:, None]  # (phi * psi, 1), phi-major
+    # The psi sum first: exp(i psi S.n) = R exp(i psi S_z) R^dag, so the psi
+    # average of <j|U|r> conj(<k|U|t>) is sum_mm' X[m, jr] H[m, m'] conj(X[m', kt])
+    # with X[m, jr] = R_jm conj(R_rm) and H[m, m'] = sum_psi w_psi e^{i psi (m - m')}.
+    m = np.arange(d)
+    h = np.tensordot(w_psi, np.exp(1j * psi[:, None, None] * (m[:, None] - m[None, :])), axes=1)
     acc = np.zeros((d * d, d * d), dtype=complex)
-    # One theta slab at a time keeps memory flat; the slab order is fixed so
+    # One theta ring at a time keeps memory flat; the ring order is fixed so
     # the summation is deterministic.
     for it in range(n_theta):
-        rot = system.rotated_basis(np.full(n_phi, thetas[it]), phi).transpose(0, 2, 1)  # R[f, j, l]
-        # exp(i psi S.n) = R exp(i psi S_z) R^dag, one (d^2)-vector per (phi, psi)
-        u = (rot[:, None] * psi_phase[None, :, None, :]) @ rot.conj().transpose(0, 2, 1)[:, None]
-        u = u.reshape(-1, d * d)
-        acc += (w_cos[it] * w_phi) * (u.T @ (w_slab * u.conj()))
+        rows = system.rotated_basis(np.full(n_phi, thetas[it]), phi)  # rows[f, m] = R|m>
+        x = (rows[:, :, :, None] * rows.conj()[:, :, None, :]).reshape(n_phi, d, d * d)
+        hx = (h @ x.conj()).reshape(-1, d * d)
+        acc += (w_cos[it] * w_phi) * (x.reshape(-1, d * d).T @ hx)
     acc *= (system.dim) / (4 * math.pi**2)
 
     # acc[(j, r), (k, t)] integrates <j|U|r> conj(<k|U|t>) = <j|U|r><t|U^dag|k>

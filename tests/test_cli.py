@@ -387,6 +387,15 @@ class TestSimulate:
         assert result.output.splitlines()[-1] == f"error: {message}"
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("spec", ["basis:inf", "basis:nan", "coherent:nan", "coherent:inf"])
+    def test_non_finite_state_spec_rejected(self, runner, spec):
+        # basis:inf used to end in an OverflowError traceback
+        result = runner.invoke(main, ["simulate", "--state", spec, "--n-samples", "600"])
+        assert result.exit_code == 2
+        arg = spec.partition(":")[2]
+        assert result.output.splitlines()[-1] == f"error: state spec {spec!r}: {arg!r} is not finite"
+        assert isinstance(result.exception, SystemExit)
+
     def test_config_checks_library_values(self):
         # numpy integers are integers; a bool is not
         assert ExperimentConfig(n_blocks=np.int64(20)).n_blocks == 20

@@ -118,6 +118,20 @@ class TestStateFactors:
         assert calls == ["eigh"]
 
 
+def _drawn_counts(probs, sizes, seed):
+    """Each block's count of every (setting, outcome) cell, read off the block sums.
+
+    The draw sums the values of a block's shots, and its route depends on
+    the shots and the row length only, so the sum of one cell's indicator
+    is that cell's count in the same draw.
+    """
+    cells = np.eye(probs.size).reshape(probs.size, *probs.shape)
+    sums = np.array([list(estimator._block_sums(probs, e, sizes, seed)) for e in cells])
+    counts = sums.T.reshape(len(sizes), *probs.shape)
+    assert np.array_equal(counts, np.rint(counts))
+    return counts.astype(int)
+
+
 class TestSampling:
     def test_deterministic_distribution(self, spin_half):
         stats = _single_setting_run(spin_half.sz, basis_state(spin_half, 0.5), 200, seed=7)
@@ -131,9 +145,9 @@ class TestSampling:
 
     def test_repeatable(self):
         probs = np.array([[0.3, 0.7], [0.5, 0.5]])
-        sizes = np.array([17, 16, 16])
-        runs = [list(estimator._block_counts(probs, sizes, 3)) for _ in range(2)]
-        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        sizes = np.array([17, 16, 16, 1])  # three blocks by counts, one by shots
+        runs = [_drawn_counts(probs, sizes, 3) for _ in range(2)]
+        assert np.array_equal(*runs)
 
     def test_count_validated(self, spin_half, coherent2):
         with pytest.raises(ValueError, match="cannot fill"):
@@ -414,10 +428,11 @@ class TestContinuousEulerRoute:
     @pytest.mark.parametrize("two_s", [1, 2, 7, 15])
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_block_means_match_eigh_reference(self, two_s, kind, rng):
-        # the same per-block count draws from a table built by eigh at every
-        # node.  The states are generic: a cell of zero probability draws no
-        # random number, so a Born probability at roundoff level (as a
-        # coherent state has) would be 0 on one route and not on the other.
+        # the same per-block draws from a table built by eigh at every node.
+        # The states are generic: on the counts route a cell of zero
+        # probability draws no random number, so a Born probability at
+        # roundoff level (as a coherent state has) would be 0 on one table
+        # and not on the other.
         sys_ = make_spin_system(two_s)
         a = random_hermitian(sys_.dim, rng)
         psi = rng.normal(size=sys_.dim) + 1j * rng.normal(size=sys_.dim)
@@ -426,8 +441,8 @@ class TestContinuousEulerRoute:
         stats = estimate_continuous(a, sys_, state, n, seed=17 + two_s)
         probs, values, _ = _continuous_born_table(a, sys_, state)
         sizes = np.array([n // 20] * 20)
-        counts = estimator._block_counts(probs, sizes, 17 + two_s)
-        ref = [float(np.sum(c * values)) / nb for nb, c in zip(sizes, counts)]
+        sums = estimator._block_sums(probs, values, sizes, 17 + two_s)
+        ref = [total / nb for nb, total in zip(sizes, sums)]
         tol = 1e-12 * (1 + np.linalg.norm(a, 2))
         assert np.abs(np.array(stats.block_means) - ref).max() <= tol
 
@@ -485,6 +500,22 @@ class TestContinuousEulerRoute:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_shot_route_peak_memory(self, rng):
+        # nb = M - 1 shots a block take the shot route, nb = M the counts route
+        sys_ = make_spin_system(15)
+        state = coherent_state(sys_, 0.8 - 0.4j)
+        a = random_hermitian(16, rng)
+        cells = estimator._continuous_tables(a, sys_, state)[0].size
+        peaks = []
+        for nb in (cells - 1, cells):
+            tracemalloc.start()
+            try:
+                estimate_continuous(a, sys_, state, 20 * nb, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.5 * peaks[1]
 
     def test_peak_memory_at_largest_dimension(self, rng):
         sys_ = make_spin_system(31)
@@ -555,40 +586,43 @@ class TestCountSampler:
     SEEDS = range(500)
     PER_SETTING, N_BLOCKS = 2000, 20
 
-    def _law_case(self, selection):
+    def _law_case(self, selection, per_setting):
         rng = np.random.default_rng(5)
-        if selection == "weigert":
+        if selection in ("weigert", "weigert-shots"):
             wq = weigert_quorum(make_spin_system(2), random_directions(9, seed=23))
             a, rho = random_hermitian(3, rng), random_density(3, rng)
             probs, values = _weigert_born_table(a, wq, rho)
-            run = partial(estimate_weigert, a, wq, rho, self.PER_SETTING, n_blocks=self.N_BLOCKS)
+            run = partial(estimate_weigert, a, wq, rho, per_setting, n_blocks=self.N_BLOCKS)
         elif selection == "continuous":
             # one pooled (node, outcome) row: the uniform law with one setting
             sys_ = make_spin_system(2)
             a, rho = random_hermitian(3, rng), random_density(3, rng)
             probs, values, _ = _continuous_born_table(a, sys_, rho)
-            run = partial(
-                estimate_continuous, a, sys_, rho, self.PER_SETTING, n_blocks=self.N_BLOCKS
-            )
+            run = partial(estimate_continuous, a, sys_, rho, per_setting, n_blocks=self.N_BLOCKS)
         else:
             q, dual = pauli_quorum()
             a, rho = random_hermitian(2, rng), random_density(2, rng)
             probs, values = _discrete_born_table(a, q, dual, rho)
             run = partial(
-                estimate_discrete, a, q, dual, rho, self.PER_SETTING,
+                estimate_discrete, a, q, dual, rho, per_setting,
                 n_blocks=self.N_BLOCKS, selection=selection,
             )
         return run, probs, values, np.trace(rho @ a).real
 
-    @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert", "continuous"])
+    @pytest.mark.parametrize(
+        "selection", ["quota", "uniform", "weigert", "continuous", "weigert-shots"]
+    )
     def test_block_means_follow_born_law(self, selection):
-        run, probs, values, exact = self._law_case(selection)
+        # the continuous row (180 cells, 100 shots a block) and "weigert-shots"
+        # (9 two-outcome rows, 1 shot a block) take the shot route
+        per_setting = self.N_BLOCKS if selection == "weigert-shots" else self.PER_SETTING
+        run, probs, values, exact = self._law_case(selection, per_setting)
         n_settings = probs.shape[0]
         if selection in ("uniform", "continuous"):
-            nb = self.PER_SETTING * n_settings // self.N_BLOCKS
+            nb = per_setting * n_settings // self.N_BLOCKS
             shot_var = n_settings * np.sum(probs * values**2) - np.sum(probs * values) ** 2
         else:
-            nb = self.PER_SETTING // self.N_BLOCKS
+            nb = per_setting // self.N_BLOCKS
             first = np.sum(probs * values, axis=1)
             shot_var = np.sum(np.sum(probs * values**2, axis=1) - first**2)
         predicted = shot_var / nb
@@ -613,15 +647,15 @@ class TestCountSampler:
 
     @pytest.mark.parametrize("selection", ["quota", "uniform", "weigert", "continuous"])
     def test_block_counts_spend_the_block(self, spin_half, coherent2, selection, monkeypatch):
-        drawn = []
-        draw = estimator._block_counts
+        calls = []
+        draw = estimator._block_sums
 
-        def recording(probs, sizes, seed):
-            for nb, counts in zip(sizes, draw(probs, sizes, seed)):
-                drawn.append((nb, counts))
-                yield counts
+        def recording(probs, values, sizes, seed):
+            sums = list(draw(probs, values, sizes, seed))
+            calls.append((probs, values, sizes, seed, sums))
+            yield from sums
 
-        monkeypatch.setattr(estimator, "_block_counts", recording)
+        monkeypatch.setattr(estimator, "_block_sums", recording)
         per_setting = 1003  # not a multiple of n_blocks: blocks differ in size
         if selection == "weigert":
             wq = weigert_quorum(spin_half, tetrahedral_directions())
@@ -629,7 +663,8 @@ class TestCountSampler:
             shape, budget = (4, 2), per_setting
         elif selection == "continuous":
             stats = estimate_continuous(spin_half.sz, spin_half, coherent2, per_setting, seed=4)
-            # one pooled row of (grid node, outcome) cells on the 5 x 8 grid
+            # one pooled row of (grid node, outcome) cells on the 5 x 8 grid,
+            # more cells than a block's shots: the shot route
             shape, budget = (1, 5 * 8 * 2), per_setting
         else:
             q, dual = pauli_quorum()
@@ -640,9 +675,102 @@ class TestCountSampler:
             shape, budget = (3, 2), per_setting
             if selection == "uniform":
                 shape, budget = (1, 6), 3 * per_setting
-        assert len(drawn) == stats.n_blocks
-        assert sum(nb for nb, _ in drawn) == budget
-        for nb, counts in drawn:
+        [(probs, values, sizes, seed, sums)] = calls
+        assert len(sizes) == stats.n_blocks
+        assert sum(sizes) == budget
+        for nb, counts, total in zip(sizes, _drawn_counts(probs, sizes, seed), sums):
             assert counts.shape == shape
             assert counts.min() >= 0
             assert np.all(counts.sum(axis=1) == nb)
+            assert total == pytest.approx(np.sum(counts * values), rel=1e-12, abs=1e-12)
+
+
+class _FixedUniforms:
+    """Stand-in generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+class TestShotRoute:
+    """Blocks with fewer shots than cells draw the shots by inverse transform."""
+
+    def test_table_implies_the_cell_probabilities(self, rng):
+        sys_ = make_spin_system(15)
+        a = random_hermitian(16, rng)
+        for state in _pure_and_mixed(sys_, rng).values():
+            probs = estimator._continuous_tables(a, sys_, state)[0]
+            implied = np.diff(estimator._shot_table(probs), prepend=0.0)
+            assert np.abs(implied - probs[0]).max() <= 2 * np.finfo(float).eps
+        # many rows: row k of the table is offset by k
+        wq = weigert_quorum(make_spin_system(2), random_directions(9, seed=23))
+        probs = estimator._weigert_tables(random_hermitian(3, rng), wq, random_density(3, rng))[0]
+        table = estimator._shot_table(probs).reshape(probs.shape)
+        implied = np.diff(table - np.arange(len(probs))[:, None], prepend=0.0, axis=1)
+        assert np.abs(implied - probs).max() <= len(probs) * np.finfo(float).eps
+
+    def test_zero_probability_cells_never_drawn(self, rng):
+        probs = np.array([[0.0, 0.2, 0.0, 0.3, 0.5, 0.0],
+                          [0.4, 0.0, 0.0, 0.0, 0.0, 0.6],
+                          [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+        counts = _drawn_counts(probs, np.array([5] * 40), 9)
+        assert counts[:, probs == 0].max() == 0
+        assert np.all(counts.sum(axis=2) == 5)
+        # the coherent d = 16 table holds cells of probability exactly 0
+        sys_ = make_spin_system(15)
+        state = coherent_state(sys_, 0.8 - 0.4j)
+        probs = estimator._continuous_tables(random_hermitian(16, rng), sys_, state)[0]
+        zero = (probs == 0).astype(float)
+        assert zero.sum() > 0
+        sums = estimator._block_sums(probs, zero, np.array([probs.size - 1] * 20), 2)
+        assert all(total == 0.0 for total in sums)
+
+    @pytest.mark.parametrize(
+        "u, cell", [(0.0, "first"), (1.0 - 2.0**-53, "last")], ids=["first", "last"]
+    )
+    def test_extreme_uniform_stays_in_its_row(self, u, cell, monkeypatch):
+        # k + u rounds up to k + 1 for the largest u below 1; the shot must
+        # still land in row k, on its last cell of nonzero probability
+        probs = np.array([[0.0, 0.5, 0.5, 0.0],
+                          [0.25, 0.0, 0.75, 0.0],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.7, 0.0, 0.3]])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(u))
+        counts = _drawn_counts(probs, np.array([3, 3]), 0)
+        nonzero = [np.flatnonzero(row) for row in probs]
+        want = np.zeros(probs.shape, dtype=int)
+        for k, idx in enumerate(nonzero):
+            want[k, idx[0] if cell == "first" else idx[-1]] = 3
+        assert np.array_equal(counts, [want, want])
+
+
+class TestCountsRouteBitIdentical:
+    """Blocks with at least as many shots as cells keep the multinomial count draw.
+
+    The block means below were recorded when every block took the count
+    draw; the shot route must not move them by a bit.
+    """
+
+    def test_pauli(self, spin_half):
+        q, dual = pauli_quorum()
+        a = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.7]])
+        state = coherent_state(spin_half, 0.3 + 0.2j)
+        stats = estimate_discrete(a, q, dual, state, 1003, n_blocks=5, seed=4)
+        assert stats.block_means == (
+            0.2796019900497513, 0.2796019900497513, 0.28059701492537314, 0.264,
+            0.29600000000000004,
+        )
+
+    def test_weigert_d8(self):
+        sys_ = make_spin_system(7)
+        wq = weigert_quorum(sys_, random_directions(64, 1))
+        state = coherent_state(sys_, 0.6 - 0.3j)
+        a = sys_.sz @ sys_.sz + sys_.sx
+        stats = estimate_weigert(a, wq, state, 1003, n_blocks=5, seed=4)
+        assert stats.block_means == (
+            42.498654106953374, 10.92726282283104, 47.50681107948232, 7.634456526558315,
+            -39.346632879333484,
+        )

@@ -278,6 +278,26 @@ class TestGroupOrthogonality:
         for coarse, fine in zip(res, res[1:]):
             assert fine <= 1.1 * coarse + 1e-12
 
+    @pytest.mark.parametrize("two_s, grid", [(7, (8, 8, 8)), (3, (8, 9, 10))])
+    def test_residual_matches_node_by_node_reference(self, two_s, grid):
+        # exp(i psi S.n) at every (theta, phi, psi) node, summed in the plain
+        # order; (8, 8, 8) is too coarse for s = 7/2, so the residual is O(1)
+        sys_ = make_spin_system(two_s)
+        n_theta, n_phi, n_psi = grid
+        cos_t, w_cos = np.polynomial.legendre.leggauss(n_theta)
+        psi = 2 * np.pi * np.arange(n_psi) / n_psi
+        w_psi = (2 * np.pi / n_psi) * np.sin(psi / 2) ** 2
+        acc = np.zeros((sys_.dim**2, sys_.dim**2), dtype=complex)
+        for c, wc in zip(cos_t, w_cos):
+            for phi in 2 * np.pi * np.arange(n_phi) / n_phi:
+                for p, wp in zip(psi, w_psi):
+                    u = rotation_d(sys_, p, Direction(math.acos(c), phi)).reshape(-1)
+                    acc += wc * (2 * np.pi / n_phi) * wp * np.outer(u, u.conj())
+        acc *= sys_.dim / (4 * np.pi**2)
+        eye = np.eye(sys_.dim)
+        want = np.abs(acc - np.einsum("jk,rt->jrkt", eye, eye).reshape(acc.shape)).max()
+        assert su2_orthogonality_residual(sys_, grid) == pytest.approx(want, rel=1e-9, abs=1e-13)
+
     def test_degenerate_grid_rejected(self):
         sys_ = make_spin_system(1)
         with pytest.raises(ValueError, match="degenerate"):
