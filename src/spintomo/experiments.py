@@ -9,7 +9,6 @@ for both.  Checkpoints are independent runs with seeds derived from
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +116,6 @@ def resolve_state(cfg: ExperimentConfig, system: SpinSystem) -> SpinState | np.n
     except ValueError as err:
         number = "complex" if kind == "coherent" else "real"
         raise ValueError(f"state spec {cfg.state!r}: {arg!r} is not a {number} number") from err
-    if not cmath.isfinite(value):
-        raise ValueError(f"state spec {cfg.state!r}: {arg!r} is not finite")
     return (coherent_state if kind == "coherent" else basis_state)(system, value)
 
 

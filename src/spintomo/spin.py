@@ -49,10 +49,9 @@ class SpinSystem:
     def m_index(self, m: float) -> int:
         """Basis index of the eigenvalue m of a spin component, m = -s ... s."""
         idx = m + self.s
-        i = int(round(idx))
-        if abs(idx - i) > 1e-9 or not (0 <= i < self.dim):
+        if not (np.isfinite(idx) and abs(idx - round(idx)) <= 1e-9 and 0 <= round(idx) < self.dim):
             raise ValueError(f"m = {m} is not an eigenvalue of a spin-{self.s} component")
-        return i
+        return int(round(idx))
 
     @functools.cached_property
     def _sy_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,6 +187,8 @@ def coherent_state(system: SpinSystem, alpha: complex) -> SpinState:
     matrix exponential applies.
     """
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent-state amplitude alpha = {alpha} is not finite")
     h = 1j * (np.conj(alpha) * system.s_minus - alpha * system.s_plus)
     u = op_exp(h, 1.0)
     return SpinState(u[:, 0])

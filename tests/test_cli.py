@@ -392,8 +392,13 @@ class TestSimulate:
         # basis:inf used to end in an OverflowError traceback
         result = runner.invoke(main, ["simulate", "--state", spec, "--n-samples", "600"])
         assert result.exit_code == 2
-        arg = spec.partition(":")[2]
-        assert result.output.splitlines()[-1] == f"error: state spec {spec!r}: {arg!r} is not finite"
+        kind, _, arg = spec.partition(":")
+        value = f"({arg}+0j)" if kind == "coherent" else arg
+        message = {
+            "basis": f"m = {value} is not an eigenvalue of a spin-0.5 component",
+            "coherent": f"coherent-state amplitude alpha = {value} is not finite",
+        }[kind]
+        assert result.output.splitlines()[-1] == f"error: {message}"
         assert isinstance(result.exception, SystemExit)
 
     def test_config_checks_library_values(self):
@@ -544,6 +549,8 @@ class TestFig1:
             (["--checkpoints", "0"], "the checkpoint count must be >= 1, got 0"),
             # the Pauli series spends n // 3 per setting, as simulate does
             (["--n-max", "50"], "n_samples = 50 gives 16 per setting, below n_blocks = 20"),
+            # not a budget, but refused the same way before any output is written
+            (["--alpha", "nan"], "coherent-state amplitude alpha = (nan+0j) is not finite"),
         ],
     )
     def test_bad_budget_exits_2(self, runner, tmp_path, args, message):

@@ -132,6 +132,12 @@ def _drawn_counts(probs, sizes, seed):
     return counts.astype(int)
 
 
+def _most_shots(probs):
+    """The most shots per setting a block draws one by one on this table."""
+    by_shots = estimator._by_shots(np.arange(1, probs.shape[1] + 1), probs)
+    return int(np.flatnonzero(by_shots)[-1]) + 1
+
+
 class TestSampling:
     def test_deterministic_distribution(self, spin_half):
         stats = _single_setting_run(spin_half.sz, basis_state(spin_half, 0.5), 200, seed=7)
@@ -144,8 +150,9 @@ class TestSampling:
         assert abs(freq - 0.5) < 0.01
 
     def test_repeatable(self):
-        probs = np.array([[0.3, 0.7], [0.5, 0.5]])
+        probs = np.array([[0.3, 0.7, 0, 0, 0, 0, 0, 0], [0.5, 0, 0, 0, 0, 0, 0, 0.5]])
         sizes = np.array([17, 16, 16, 1])  # three blocks by counts, one by shots
+        assert estimator._by_shots(sizes, probs).tolist() == [False, False, False, True]
         runs = [_drawn_counts(probs, sizes, 3) for _ in range(2)]
         assert np.array_equal(*runs)
 
@@ -502,13 +509,15 @@ class TestContinuousEulerRoute:
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_shot_route_peak_memory(self, rng):
-        # nb = M - 1 shots a block take the shot route, nb = M the counts route
+        # the most shots a block draws one by one against the fewest it counts
         sys_ = make_spin_system(15)
         state = coherent_state(sys_, 0.8 - 0.4j)
         a = random_hermitian(16, rng)
-        cells = estimator._continuous_tables(a, sys_, state)[0].size
+        probs = estimator._continuous_tables(a, sys_, state)[0]
+        sizes = np.array([_most_shots(probs), _most_shots(probs) + 1])
+        assert estimator._by_shots(sizes, probs).tolist() == [True, False]
         peaks = []
-        for nb in (cells - 1, cells):
+        for nb in sizes:
             tracemalloc.start()
             try:
                 estimate_continuous(a, sys_, state, 20 * nb, seed=3)
@@ -588,12 +597,12 @@ class TestCountSampler:
 
     def _law_case(self, selection, per_setting):
         rng = np.random.default_rng(5)
-        if selection in ("weigert", "weigert-shots"):
+        if selection == "weigert":
             wq = weigert_quorum(make_spin_system(2), random_directions(9, seed=23))
             a, rho = random_hermitian(3, rng), random_density(3, rng)
             probs, values = _weigert_born_table(a, wq, rho)
             run = partial(estimate_weigert, a, wq, rho, per_setting, n_blocks=self.N_BLOCKS)
-        elif selection == "continuous":
+        elif selection in ("continuous", "continuous-shots"):
             # one pooled (node, outcome) row: the uniform law with one setting
             sys_ = make_spin_system(2)
             a, rho = random_hermitian(3, rng), random_density(3, rng)
@@ -610,21 +619,24 @@ class TestCountSampler:
         return run, probs, values, np.trace(rho @ a).real
 
     @pytest.mark.parametrize(
-        "selection", ["quota", "uniform", "weigert", "continuous", "weigert-shots"]
+        "selection", ["quota", "uniform", "weigert", "continuous", "continuous-shots"]
     )
     def test_block_means_follow_born_law(self, selection):
-        # the continuous row (180 cells, 100 shots a block) and "weigert-shots"
-        # (9 two-outcome rows, 1 shot a block) take the shot route
-        per_setting = self.N_BLOCKS if selection == "weigert-shots" else self.PER_SETTING
+        # "continuous-shots" spends 20 shots a block on the 180-cell row:
+        # the shot route; every other case draws counts
+        per_setting = 400 if selection == "continuous-shots" else self.PER_SETTING
         run, probs, values, exact = self._law_case(selection, per_setting)
         n_settings = probs.shape[0]
-        if selection in ("uniform", "continuous"):
+        if selection in ("uniform", "continuous", "continuous-shots"):
             nb = per_setting * n_settings // self.N_BLOCKS
             shot_var = n_settings * np.sum(probs * values**2) - np.sum(probs * values) ** 2
         else:
             nb = per_setting // self.N_BLOCKS
             first = np.sum(probs * values, axis=1)
             shot_var = np.sum(np.sum(probs * values**2, axis=1) - first**2)
+        if selection.startswith("continuous"):
+            by_shots = estimator._by_shots(np.array([nb]), probs)[0]
+            assert by_shots == (selection == "continuous-shots")
         predicted = shot_var / nb
         means = np.concatenate([run(seed=seed).block_means for seed in self.SEEDS])
         assert abs(means.mean() - exact) <= 5 * np.sqrt(predicted / means.size)
@@ -662,9 +674,10 @@ class TestCountSampler:
             stats = estimate_weigert(spin_half.sz, wq, coherent2, per_setting, seed=4)
             shape, budget = (4, 2), per_setting
         elif selection == "continuous":
+            # one pooled row of (grid node, outcome) cells on the 5 x 8 grid:
+            # blocks of 11 shots draw them one by one, blocks of 12 draw counts
+            per_setting = 223
             stats = estimate_continuous(spin_half.sz, spin_half, coherent2, per_setting, seed=4)
-            # one pooled row of (grid node, outcome) cells on the 5 x 8 grid,
-            # more cells than a block's shots: the shot route
             shape, budget = (1, 5 * 8 * 2), per_setting
         else:
             q, dual = pauli_quorum()
@@ -676,6 +689,8 @@ class TestCountSampler:
             if selection == "uniform":
                 shape, budget = (1, 6), 3 * per_setting
         [(probs, values, sizes, seed, sums)] = calls
+        if selection == "continuous":
+            assert set(estimator._by_shots(sizes, probs)) == {False, True}
         assert len(sizes) == stats.n_blocks
         assert sum(sizes) == budget
         for nb, counts, total in zip(sizes, _drawn_counts(probs, sizes, seed), sums):
@@ -696,7 +711,7 @@ class _FixedUniforms:
 
 
 class TestShotRoute:
-    """Blocks with fewer shots than cells draw the shots by inverse transform."""
+    """Blocks whose shots take fewer steps than their counts draw the shots by inverse transform."""
 
     def test_table_implies_the_cell_probabilities(self, rng):
         sys_ = make_spin_system(15)
@@ -716,16 +731,18 @@ class TestShotRoute:
         probs = np.array([[0.0, 0.2, 0.0, 0.3, 0.5, 0.0],
                           [0.4, 0.0, 0.0, 0.0, 0.0, 0.6],
                           [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
-        counts = _drawn_counts(probs, np.array([5] * 40), 9)
+        sizes = np.array([1] * 200)
+        assert estimator._by_shots(sizes, probs).all()
+        counts = _drawn_counts(probs, sizes, 9)
         assert counts[:, probs == 0].max() == 0
-        assert np.all(counts.sum(axis=2) == 5)
+        assert np.all(counts.sum(axis=2) == 1)
         # the coherent d = 16 table holds cells of probability exactly 0
         sys_ = make_spin_system(15)
         state = coherent_state(sys_, 0.8 - 0.4j)
         probs = estimator._continuous_tables(random_hermitian(16, rng), sys_, state)[0]
         zero = (probs == 0).astype(float)
         assert zero.sum() > 0
-        sums = estimator._block_sums(probs, zero, np.array([probs.size - 1] * 20), 2)
+        sums = estimator._block_sums(probs, zero, np.array([_most_shots(probs)] * 20), 2)
         assert all(total == 0.0 for total in sums)
 
     @pytest.mark.parametrize(
@@ -734,21 +751,23 @@ class TestShotRoute:
     def test_extreme_uniform_stays_in_its_row(self, u, cell, monkeypatch):
         # k + u rounds up to k + 1 for the largest u below 1; the shot must
         # still land in row k, on its last cell of nonzero probability
-        probs = np.array([[0.0, 0.5, 0.5, 0.0],
-                          [0.25, 0.0, 0.75, 0.0],
-                          [0.0, 0.0, 1.0, 0.0],
-                          [0.0, 0.7, 0.0, 0.3]])
+        probs = np.array([[0.0, 0.5, 0.5, 0.0, 0, 0, 0, 0],
+                          [0.25, 0.0, 0.75, 0.0, 0, 0, 0, 0],
+                          [0.0, 0.0, 1.0, 0.0, 0, 0, 0, 0],
+                          [0.0, 0.7, 0.0, 0.3, 0, 0, 0, 0]])
+        sizes = np.array([1, 1])
+        assert estimator._by_shots(sizes, probs).all()
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(u))
-        counts = _drawn_counts(probs, np.array([3, 3]), 0)
+        counts = _drawn_counts(probs, sizes, 0)
         nonzero = [np.flatnonzero(row) for row in probs]
         want = np.zeros(probs.shape, dtype=int)
         for k, idx in enumerate(nonzero):
-            want[k, idx[0] if cell == "first" else idx[-1]] = 3
+            want[k, idx[0] if cell == "first" else idx[-1]] = 1
         assert np.array_equal(counts, [want, want])
 
 
 class TestCountsRouteBitIdentical:
-    """Blocks with at least as many shots as cells keep the multinomial count draw.
+    """Blocks that draw counts keep the multinomial count draw.
 
     The block means below were recorded when every block took the count
     draw; the shot route must not move them by a bit.

@@ -133,6 +133,16 @@ class TestStates:
         with pytest.raises(ValueError):
             basis_state(sys_, 0.5)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_argument_named(self, value):
+        # basis_state(system, inf) used to raise OverflowError from int(round(inf))
+        sys_ = make_spin_system(2)
+        with pytest.raises(ValueError, match=f"m = {value} is not an eigenvalue"):
+            basis_state(sys_, value)
+        alpha = complex(value, 0.5)
+        with pytest.raises(ValueError, match=rf"alpha = \({alpha.real}\+0\.5j\) is not finite"):
+            coherent_state(sys_, alpha)
+
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             SpinState(np.array([1.0, 1.0]))
