@@ -3,7 +3,6 @@
 from .estimator import (
     DualCoefficientError,
     RunStats,
-    block_stats,
     continuous_exact_value,
     continuous_kernel,
     discrete_exact_value,

@@ -11,9 +11,11 @@ Three quorums are supported: a generic discrete quorum of Hermitian
 observables with its dual frame, the continuous spin-direction quorum
 (directions drawn from the exact quadrature grid of the direction average,
 with the rotation integral reduced to a closed-form outcome kernel), and
-the Weigert projector quorum.  Every estimator sees a block only through
-the sum of its outcome values, whose law is set by the multinomial counts
-of the (setting, outcome) cells.  A block of nb shots on each of k rows
+the Weigert projector quorum.  Each builds one ``CountTable`` of its
+(setting, outcome) cells; a run builds its table once, and its main
+estimate and every checkpoint draw from it.  An estimate sees a block
+only through the sum of its outcome values, whose law is set by the
+multinomial counts of the cells.  A block of nb shots on each of k rows
 of M cells draws its shots by inverse transform when their binary searches
 over the kM-cell table take fewer steps than a row has cells, and
 otherwise the counts of every cell in one multinomial, so per block it
@@ -22,7 +24,7 @@ costs O(k min(nb log(kM), M)) time and O(kM) memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,57 +119,21 @@ def _blocks(budget: int, n_blocks: int, what: str) -> np.ndarray:
     """Sizes of ``n_blocks`` contiguous near-equal blocks of ``budget`` samples.
 
     The first budget % n_blocks blocks are one longer.  ``what`` names the
-    budget in the error raised when it cannot fill the blocks.
+    budget in the error raised when it cannot fill the blocks, or when a
+    block would hold more shots than a 64-bit count can.
     """
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
     if budget < n_blocks:
         raise ValueError(f"{what} = {budget} cannot fill {n_blocks} blocks")
     base, extra = divmod(budget, n_blocks)
+    if base + (extra > 0) > np.iinfo(np.int64).max:
+        raise ValueError(f"{what} = {budget} puts more than 2**63 - 1 shots in a block")
     return np.array([base + 1] * extra + [base] * (n_blocks - extra))
 
 
-def block_stats(contributions, n_blocks: int = 20) -> RunStats:
-    """Blocked mean and error bar of a stream of per-sample contributions.
-
-    The stream is split in order into ``n_blocks`` contiguous near-equal
-    blocks; the error bar is the sample standard deviation of the block
-    means divided by sqrt(n_blocks).
-    """
-    values = np.asarray(contributions, dtype=float)
-    sizes = _blocks(values.size, n_blocks, "contributions")
-    bounds = np.cumsum(sizes)[:-1]
-    block_means = np.array([b.mean() for b in np.split(values, bounds)])
-    return _stats_from_blocks(block_means, sizes, int(values.size))
-
-
-def _stats_from_blocks(
-    block_means: np.ndarray,
-    sizes: np.ndarray,
-    n_samples: int,
-    estimator: str | None = None,
-    seed: int | None = None,
-    convention: str | None = None,
-) -> RunStats:
-    mean = float(np.sum(block_means * sizes) / np.sum(sizes))
-    error = float(np.std(block_means, ddof=1) / np.sqrt(block_means.size))
-    return RunStats(
-        n_samples=n_samples,
-        n_blocks=int(block_means.size),
-        block_means=tuple(float(b) for b in block_means),
-        mean=mean,
-        error_bar=error,
-        estimator=estimator,
-        seed=seed,
-        convention=convention,
-    )
-
-
 # ---------------------------------------------------------------------------
-# count engine of every quorum.  A table (probs, values, constant) measures
-# setting k with the clipped, normalised Born row probs[k], where outcome m
-# adds values[k, m]; constant is the exact share of settings that need no
-# samples.
+# count engine of every quorum
 
 def _shot_table(probs: np.ndarray) -> np.ndarray:
     """Flat cumulative table of the shot route: row k is k + the row's normalised cumsum.
@@ -191,9 +157,10 @@ def _by_shots(sizes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     is fewer steps.  Counting a probe as dear as a binomial draw keeps the
     switch on the safe side: timed on one core of a 2-vCPU Xeon VM, on
     one-row tables of 1,760 to 76,160 cells, shots stay the cheaper route
-    up to about M/2 to M/5 shots.
+    up to about M/2 to M/5 shots.  The product is taken in floating point,
+    where the largest blocks cannot wrap it round as 64-bit integers would.
     """
-    return sizes * probs.size.bit_length() < probs.shape[1]
+    return sizes * float(probs.size.bit_length()) < probs.shape[1]
 
 
 def _block_sums(probs: np.ndarray, values: np.ndarray, sizes: np.ndarray, seed: int):
@@ -223,22 +190,49 @@ def _block_sums(probs: np.ndarray, values: np.ndarray, sizes: np.ndarray, seed: 
             yield float(np.sum(flat_values[np.searchsorted(table, u, side="right")]))
 
 
-def _estimate(tables, quota, n_blocks, seed, what, estimator, convention) -> RunStats:
-    """Blocked estimate with ``quota`` shots of every setting of ``tables``.
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """The count table of one quorum, target and state.
 
-    ``what`` names the quota in the error raised when it cannot fill the blocks.
+    Setting k is measured with the clipped, normalised Born row probs[k],
+    and outcome m adds values[k, m], the outcome weighted by the dual
+    frame; ``constant`` is the exact share of settings that need no
+    samples.  The arrays are read-only, so a run builds its table once and
+    its main estimate and every checkpoint draw from it.  ``estimator``
+    and ``convention`` label the estimates, and ``quota`` names the
+    per-setting budget in the errors of ``estimate``.
     """
-    probs, values, constant = tables
-    sizes = _blocks(quota, n_blocks, what)
-    sums = zip(sizes, _block_sums(probs, values, sizes, seed))
-    block_means = np.array([constant + s / nb for nb, s in sums])
-    return _stats_from_blocks(block_means, sizes, quota * len(probs), estimator, seed, convention)
 
+    probs: np.ndarray
+    values: np.ndarray
+    constant: float
+    estimator: str
+    convention: str
+    quota: str
 
-def _exact_contraction(tables) -> float:
-    """constant + sum_{k,m} p[k, m] values[k, m] with exact Born probabilities."""
-    probs, values, constant = tables
-    return constant + float(np.sum(probs * values))
+    def __post_init__(self):
+        self.probs.setflags(write=False)
+        self.values.setflags(write=False)
+
+    def exact(self) -> float:
+        """constant + sum_{k,m} p[k, m] values[k, m] with exact Born probabilities."""
+        return self.constant + float(np.sum(self.probs * self.values))
+
+    def estimate(self, quota: int, n_blocks: int, seed: int) -> RunStats:
+        """Blocked estimate with ``quota`` shots of every setting."""
+        sizes = _blocks(quota, n_blocks, self.quota)
+        sums = zip(sizes, _block_sums(self.probs, self.values, sizes, seed))
+        block_means = np.array([self.constant + s / nb for nb, s in sums])
+        return RunStats(
+            n_samples=quota * len(self.probs),
+            n_blocks=len(sizes),
+            block_means=tuple(float(b) for b in block_means),
+            mean=float(np.sum(block_means * sizes) / quota),
+            error_bar=float(np.std(block_means, ddof=1) / np.sqrt(len(sizes))),
+            estimator=self.estimator,
+            seed=seed,
+            convention=self.convention,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +243,8 @@ def _is_sampled(w: np.ndarray) -> np.ndarray:
     return w.max(axis=-1) - w.min(axis=-1) > 1e-12 * (1.0 + np.abs(w).max(axis=-1))
 
 
-def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
-    """Per-setting clipped, normalised Born rows and outcome-value tables.
+def _discrete_table(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) -> CountTable:
+    """Per-setting clipped, normalised Born rows and outcome values.
 
     A sample of setting x with outcome index m contributes
     eigenvalue_m * Tr[B_x^dag a].  Settings whose observable has a single
@@ -274,7 +268,8 @@ def _discrete_tables(a: np.ndarray, quorum: Quorum, dual: DualFrame, state):
     # Born rows p[x, m] = sum_k weights[k] |<v_xm|factor_k>|^2
     amp = factors.conj() @ v[sampled]
     rows = np.clip(np.einsum("k,xkm->xm", weights, amp.real**2 + amp.imag**2), 0.0, 1.0)
-    return rows / rows.sum(axis=1, keepdims=True), values, constant
+    return CountTable(rows / rows.sum(axis=1, keepdims=True), values, constant,
+                      "discrete", "per_setting_quota", "samples_per_setting")
 
 
 def estimate_discrete(
@@ -302,16 +297,18 @@ def estimate_discrete(
     """
     if selection not in ("quota", "uniform"):
         raise ValueError(f"unknown selection convention {selection!r}")
-    convention = "per_setting_quota" if selection == "quota" else "uniform_setting"
-    tables = probs, values, constant = _discrete_tables(a, quorum, dual, state)
-    quota, what, n_active = samples_per_setting, "samples_per_setting", probs.shape[0]
+    table = _discrete_table(a, quorum, dual, state)
+    n_active = len(table.probs)
+    if selection == "uniform":
+        table = replace(table, convention="uniform_setting")
     if selection == "uniform" and n_active:
-        _blocks(quota, n_blocks, what)
+        _blocks(samples_per_setting, n_blocks, table.quota)
         # A uniformly drawn setting is one setting whose outcomes are all
         # (setting, outcome) pairs, each worth n_active times its value.
-        tables = probs.reshape(1, -1) / n_active, n_active * values.reshape(1, -1), constant
-        quota, what = quota * n_active, "total"
-    return _estimate(tables, quota, n_blocks, seed, what, "discrete", convention)
+        table = replace(table, probs=table.probs.reshape(1, -1) / n_active,
+                        values=n_active * table.values.reshape(1, -1), quota="total")
+        samples_per_setting *= n_active
+    return table.estimate(samples_per_setting, n_blocks, seed)
 
 
 def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) -> float:
@@ -320,7 +317,7 @@ def discrete_exact_value(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) 
     Equals Tr[rho a] identically whenever (quorum, dual) is a spanning
     pair, which is the content of the reconstruction identity.
     """
-    return _exact_contraction(_discrete_tables(a, quorum, dual, state))
+    return _discrete_table(a, quorum, dual, state).exact()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +350,7 @@ def continuous_kernel(a: np.ndarray, system: SpinSystem, m: float, n: Direction)
     return float(_direction_kernel_rows(diag, system.dim).reshape(-1)[idx])
 
 
-def _continuous_tables(a: np.ndarray, system: SpinSystem, state):
+def _continuous_table(a: np.ndarray, system: SpinSystem, state) -> CountTable:
     """One pooled row of (grid node, outcome) cells for the count engine.
 
     The direction average is a spherical polynomial of degree <= 4s, so
@@ -369,7 +366,8 @@ def _continuous_tables(a: np.ndarray, system: SpinSystem, state):
     born, diag = system.diagonals(theta, phi, np.stack([rho, a]))
     born = np.clip(born, 0.0, 1.0)
     born *= w[:, None, None] / born.sum(axis=-1, keepdims=True)
-    return born.reshape(1, -1), _direction_kernel_rows(diag, system.dim).reshape(1, -1), 0.0
+    values = _direction_kernel_rows(diag, system.dim).reshape(1, -1)
+    return CountTable(born.reshape(1, -1), values, 0.0, "continuous", "grid_direction", "n_samples")
 
 
 def estimate_continuous(
@@ -390,8 +388,7 @@ def estimate_continuous(
     shots take fewer steps, the shots: O(min(nb log M, M)) time and O(M)
     memory.
     """
-    tables = _continuous_tables(a, system, state)
-    return _estimate(tables, n_samples, n_blocks, seed, "n_samples", "continuous", "grid_direction")
+    return _continuous_table(a, system, state).estimate(n_samples, n_blocks, seed)
 
 
 def continuous_exact_value(a: np.ndarray, system: SpinSystem, state) -> float:
@@ -400,13 +397,13 @@ def continuous_exact_value(a: np.ndarray, system: SpinSystem, state) -> float:
     The grid integrates the average exactly, so the result is Tr[rho a]
     up to roundoff.
     """
-    return _exact_contraction(_continuous_tables(a, system, state))
+    return _continuous_table(a, system, state).exact()
 
 
 # ---------------------------------------------------------------------------
 # Weigert projector quorum
 
-def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state):
+def _weigert_table(a: np.ndarray, wq: WeigertQuorum, state) -> CountTable:
     """Two-outcome rows [Tr rho P_k, 1 - Tr rho P_k] with values [coef_k, 0].
 
     Only the maximal outcome m = s of S.n_k carries weight: the estimator is
@@ -419,7 +416,8 @@ def _weigert_tables(a: np.ndarray, wq: WeigertQuorum, state):
         values[k, 0] = _dual_coefficient(b, a, f"direction {k}")
     top = _expectations(wq.projectors, *_state_factors(state, wq.system.dim)).real
     top = np.clip(top, 0.0, 1.0)
-    return np.stack([top, 1.0 - top], axis=1), values, 0.0
+    return CountTable(np.stack([top, 1.0 - top], axis=1), values, 0.0,
+                      "weigert", "per_direction_quota", "samples_per_direction")
 
 
 def estimate_weigert(
@@ -439,10 +437,9 @@ def estimate_weigert(
     With M = 2 outcomes a block always draws its counts, O(1) time and
     memory per direction.
     """
-    return _estimate(_weigert_tables(a, wq, state), samples_per_direction, n_blocks, seed,
-                     "samples_per_direction", "weigert", "per_direction_quota")
+    return _weigert_table(a, wq, state).estimate(samples_per_direction, n_blocks, seed)
 
 
 def weigert_exact_value(a: np.ndarray, wq: WeigertQuorum, state) -> float:
     """Weigert estimator with exact Born probabilities; equals Tr[rho a]."""
-    return _exact_contraction(_weigert_tables(a, wq, state))
+    return _weigert_table(a, wq, state).exact()

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .estimator import (
-    _continuous_tables,
-    _discrete_tables,
-    _weigert_tables,
-    estimate_continuous,
-    estimate_discrete,
-    estimate_weigert,
-    state_expectation,
-)
+from .estimator import _continuous_table, _discrete_table, _weigert_table, state_expectation
 from .liouville import require_hermitian
 from .spin import (
     SpinState,
@@ -131,24 +123,24 @@ def resolve_target(cfg: ExperimentConfig, system: SpinSystem) -> np.ndarray:
 def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
     """Return run(n_samples, seed) -> RunStats for the configured quorum.
 
-    ``n_samples`` is the total sample budget.  Every quorum gives each of
-    the n_active settings of its count table the quota n_samples // n_active,
-    which must fill the blocks; the continuous grid is one pooled setting.
+    The quorum's count table is built here, once: every run, the main
+    estimate and each checkpoint alike, draws from it.  ``n_samples`` is
+    the total sample budget.  Every quorum gives each of the n_active
+    settings of its count table the quota n_samples // n_active, which must
+    fill the blocks; the continuous grid is one pooled setting.
     """
     if cfg.quorum == "continuous":
-        estimate, tables, args = estimate_continuous, _continuous_tables, (target, system, state)
+        table = _continuous_table(target, system, state)
     elif cfg.quorum == "pauli":
-        quorum, dual = pauli_quorum()
-        estimate, tables, args = estimate_discrete, _discrete_tables, (target, quorum, dual, state)
+        table = _discrete_table(target, *pauli_quorum(), state)
     else:  # weigert
         if cfg.directions_file is not None:
             doc = serialize.load_json_file(cfg.directions_file)
             directions = serialize.directions_from_json_list(doc)
         else:
             directions = random_directions(system.dim**2, cfg.weigert_seed)
-        wq = weigert_quorum(system, directions)
-        estimate, tables, args = estimate_weigert, _weigert_tables, (target, wq, state)
-    n_active = len(tables(*args)[0])
+        table = _weigert_table(target, weigert_quorum(system, directions), state)
+    n_active = len(table.probs)
 
     def run(n: int, seed: int):
         quota = n // n_active
@@ -156,7 +148,7 @@ def build_runner(cfg: ExperimentConfig, system: SpinSystem, state, target):
             raise ValueError(
                 f"n_samples = {n} gives {quota} per setting, below n_blocks = {cfg.n_blocks}"
             )
-        return estimate(*args, quota, n_blocks=cfg.n_blocks, seed=seed)
+        return table.estimate(quota, cfg.n_blocks, seed)
 
     return run
 

@@ -6,14 +6,18 @@ from click.testing import CliRunner
 
 from spintomo import (
     DualCoefficientError,
+    estimate_continuous,
+    estimate_discrete,
+    estimate_weigert,
     estimator,
+    experiments,
     random_hermitian,
     serialize,
     verify_spanning_definitions,
     weigert_exact_value,
 )
 from spintomo.cli import main
-from spintomo.experiments import ExperimentConfig, build_runner
+from spintomo.experiments import ExperimentConfig, build_runner, fig1_series, simulate_run
 from spintomo.spin import (
     coherent_state,
     make_spin_system,
@@ -203,13 +207,44 @@ class TestSimulate:
     @pytest.mark.parametrize("quorum, n_active", [("pauli", 3), ("continuous", 1), ("weigert", 4)])
     def test_runner_quota_per_count_table_setting(self, quorum, n_active):
         system = make_spin_system(1)
+        state = coherent_state(system, 2)
         cfg = ExperimentConfig(quorum=quorum, weigert_seed=5 if quorum == "weigert" else None)
-        run = build_runner(cfg, system, coherent_state(system, 2), system.sz)
+        run = build_runner(cfg, system, state, system.sz)
+        public = {
+            "pauli": lambda quota: estimate_discrete(system.sz, *pauli_quorum(), state, quota,
+                                                     n_blocks=20, seed=1),
+            "continuous": lambda quota: estimate_continuous(system.sz, system, state, quota,
+                                                            n_blocks=20, seed=1),
+            "weigert": lambda quota: estimate_weigert(
+                system.sz, weigert_quorum(system, random_directions(4, 5)), state, quota,
+                n_blocks=20, seed=1),
+        }[quorum]
+        for n in (21 * n_active - 1, 1003 * n_active + 2):
+            # the runner's stats are the public estimate's at the quota n // n_active
+            assert run(n, 1) == public(n // n_active)
         n = 21 * n_active - 1  # a quota of 20 and a remainder that is not spent
         assert run(n, 1).n_samples == 20 * n_active
         message = f"^n_samples = {n - n_active} gives 19 per setting, below n_blocks = 20$"
         with pytest.raises(ValueError, match=message):
             run(n - n_active, 1)
+
+    def test_one_count_table_per_run(self, monkeypatch):
+        builds = []
+        for name in ("_continuous_table", "_discrete_table", "_weigert_table"):
+            def counting(*args, _build=getattr(estimator, name), **kwargs):
+                builds.append(_build.__name__)
+                return _build(*args, **kwargs)
+
+            for module in (estimator, experiments):
+                monkeypatch.setattr(module, name, counting)
+        fig1_series(2.0, 100_000)
+        assert sorted(builds) == ["_continuous_table", "_discrete_table"]
+        for quorum in ("pauli", "continuous", "weigert"):
+            builds.clear()
+            cfg = ExperimentConfig(quorum=quorum, weigert_seed=5 if quorum == "weigert" else None,
+                                   n_samples=6000, checkpoints=(1200, 2400, 3600))
+            simulate_run(cfg)
+            assert builds == [f"_{'discrete' if quorum == 'pauli' else quorum}_table"]
 
     def test_pauli_needs_spin_half(self, runner):
         result = runner.invoke(

@@ -10,7 +10,6 @@ from spintomo import (
     DualFrame,
     NotHermitianError,
     Quorum,
-    block_stats,
     coherent_state,
     continuous_exact_value,
     continuous_kernel,
@@ -48,10 +47,8 @@ def coherent2(spin_half):
 def _engine_born_row(state, observable):
     """Born row of measuring one observable, as the count engine builds it."""
     q = Quorum.from_elements([observable])
-    probs, _, _ = estimator._discrete_tables(
-        observable, q, DualFrame.from_elements([observable]), state
-    )
-    return probs[0]
+    table = estimator._discrete_table(observable, q, DualFrame.from_elements([observable]), state)
+    return table.probs[0]
 
 
 def _single_setting_run(observable, state, samples, seed):
@@ -165,35 +162,59 @@ class TestSampling:
 
 
 class TestBlockStats:
-    def test_constant_stream(self):
-        stats = block_stats([3.25] * 40, n_blocks=4)
+    """The blocked mean and error bar of an estimate, the same for every quorum."""
+
+    QUORUMS = ("pauli", "continuous", "weigert")
+
+    @staticmethod
+    def _run(quorum, system, state):
+        """estimate(target, quota, **options) with the spin-1/2 quorum named ``quorum``."""
+        if quorum == "pauli":
+            q, dual = pauli_quorum()
+            return lambda a, n, **options: estimate_discrete(a, q, dual, state, n, **options)
+        if quorum == "continuous":
+            return lambda a, n, **options: estimate_continuous(a, system, state, n, **options)
+        wq = weigert_quorum(system, tetrahedral_directions())
+        return lambda a, n, **options: estimate_weigert(a, wq, state, n, **options)
+
+    @pytest.mark.parametrize("quorum", QUORUMS)
+    def test_blocked_mean_and_error_bar(self, quorum, spin_half, coherent2, monkeypatch):
+        run = self._run(quorum, spin_half, coherent2)
+        # 1003 shots per setting: the first 3 of the 20 blocks hold one more
+        stats = run(spin_half.sz, 1003, seed=4)
+        means, sizes = np.array(stats.block_means), np.array([51] * 3 + [50] * 17)
+        assert stats.mean == np.sum(means * sizes) / np.sum(sizes)
+        assert stats.error_bar == np.std(means, ddof=1) / np.sqrt(20)
+        # every shot worth 3.25 (the table's constant is 0 for S_z): each
+        # block mean, the mean and no error bar at all
+        monkeypatch.setattr(estimator, "_block_sums",
+                            lambda probs, values, sizes, seed: (3.25 * nb for nb in sizes))
+        stats = run(spin_half.sz, 1003, seed=4)
+        assert set(stats.block_means) == {3.25}
         assert stats.mean == 3.25
         assert stats.error_bar == 0.0
 
-    def test_hand_computed(self):
-        stats = block_stats([0.0, 0.0, 1.0, 1.0], n_blocks=2)
-        assert stats.block_means == (0.0, 1.0)
-        assert stats.mean == 0.5
-        assert stats.error_bar == pytest.approx(0.5)
+    def test_binomial_error_bar(self, spin_half):
+        # shots of +-1/2 with equal odds: the error bar is 1 / (2 sqrt(N))
+        stats = _single_setting_run(spin_half.sx, basis_state(spin_half, 0.5), 100_000, seed=42)
+        assert stats.error_bar == pytest.approx(0.5 / np.sqrt(100_000), rel=0.3)
 
-    def test_uneven_split_front_loaded(self):
-        stats = block_stats(list(range(7)), n_blocks=3)
-        # sizes 3, 2, 2
-        assert stats.block_means == (1.0, 3.5, 5.5)
-        assert stats.mean == pytest.approx(3.0)
+    def test_validation(self, spin_half, coherent2):
+        for quorum in self.QUORUMS:
+            run = self._run(quorum, spin_half, coherent2)
+            with pytest.raises(ValueError, match="^n_blocks must be >= 2$"):
+                run(spin_half.sz, 100, n_blocks=1)
+            with pytest.raises(ValueError, match=" = 1 cannot fill 2 blocks$"):
+                run(spin_half.sz, 1, n_blocks=2)
 
-    def test_binomial_error_bar(self):
-        rng = np.random.default_rng(42)
-        contributions = np.where(rng.random(100_000) < 0.5, 1.0, -1.0)
-        stats = block_stats(contributions, n_blocks=20)
-        assert abs(stats.mean) <= 3 * stats.error_bar
-        assert stats.error_bar == pytest.approx(1 / np.sqrt(100_000), rel=0.3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            block_stats([1.0], n_blocks=2)
-        with pytest.raises(ValueError):
-            block_stats([1.0, 2.0], n_blocks=1)
+    @pytest.mark.parametrize("quorum", QUORUMS)
+    def test_largest_block_fits_int64(self, quorum, spin_half, coherent2):
+        run = self._run(quorum, spin_half, coherent2)
+        largest = 20 * np.iinfo(np.int64).max
+        stats = run(spin_half.sz, largest, seed=1)
+        assert abs(stats.mean + np.cos(4) / 2) <= 4 * stats.error_bar
+        with pytest.raises(ValueError, match=f" = {largest + 20} puts more than 2\\*\\*63 - 1 shots"):
+            run(spin_half.sz, largest + 20, seed=1)
 
 
 class TestDiscreteEstimator:
@@ -460,7 +481,8 @@ class TestContinuousEulerRoute:
         sys_ = make_spin_system(two_s)
         a = random_hermitian(sys_.dim, rng)
         for state in _pure_and_mixed(sys_, rng).values():
-            probs, values, constant = estimator._continuous_tables(a, sys_, state)
+            table = estimator._continuous_table(a, sys_, state)
+            probs, values, constant = table.probs, table.values, table.constant
             want_probs, want_values, w_node = _continuous_born_table(a, sys_, state)
             assert constant == 0.0 and probs.shape == want_probs.shape == values.shape
             born = (probs / np.repeat(w_node, sys_.dim)).reshape(-1, sys_.dim)
@@ -474,7 +496,7 @@ class TestContinuousEulerRoute:
         sys_ = make_spin_system(15)
         state = coherent_state(sys_, 0.8 - 0.4j)
         a = random_hermitian(16, rng)
-        nodes = estimator._continuous_tables(a, sys_, state)[0].size // 16
+        nodes = estimator._continuous_table(a, sys_, state).probs.size // 16
         assert 10_000 < nodes * 20
         stats = estimate_continuous(a, sys_, state, 10_000, seed=8)
         assert stats.n_samples == 10_000 and stats.convention == "grid_direction"
@@ -513,7 +535,7 @@ class TestContinuousEulerRoute:
         sys_ = make_spin_system(15)
         state = coherent_state(sys_, 0.8 - 0.4j)
         a = random_hermitian(16, rng)
-        probs = estimator._continuous_tables(a, sys_, state)[0]
+        probs = estimator._continuous_table(a, sys_, state).probs
         sizes = np.array([_most_shots(probs), _most_shots(probs) + 1])
         assert estimator._by_shots(sizes, probs).tolist() == [True, False]
         peaks = []
@@ -717,12 +739,12 @@ class TestShotRoute:
         sys_ = make_spin_system(15)
         a = random_hermitian(16, rng)
         for state in _pure_and_mixed(sys_, rng).values():
-            probs = estimator._continuous_tables(a, sys_, state)[0]
+            probs = estimator._continuous_table(a, sys_, state).probs
             implied = np.diff(estimator._shot_table(probs), prepend=0.0)
             assert np.abs(implied - probs[0]).max() <= 2 * np.finfo(float).eps
         # many rows: row k of the table is offset by k
         wq = weigert_quorum(make_spin_system(2), random_directions(9, seed=23))
-        probs = estimator._weigert_tables(random_hermitian(3, rng), wq, random_density(3, rng))[0]
+        probs = estimator._weigert_table(random_hermitian(3, rng), wq, random_density(3, rng)).probs
         table = estimator._shot_table(probs).reshape(probs.shape)
         implied = np.diff(table - np.arange(len(probs))[:, None], prepend=0.0, axis=1)
         assert np.abs(implied - probs).max() <= len(probs) * np.finfo(float).eps
@@ -739,7 +761,7 @@ class TestShotRoute:
         # the coherent d = 16 table holds cells of probability exactly 0
         sys_ = make_spin_system(15)
         state = coherent_state(sys_, 0.8 - 0.4j)
-        probs = estimator._continuous_tables(random_hermitian(16, rng), sys_, state)[0]
+        probs = estimator._continuous_table(random_hermitian(16, rng), sys_, state).probs
         zero = (probs == 0).astype(float)
         assert zero.sum() > 0
         sums = estimator._block_sums(probs, zero, np.array([_most_shots(probs)] * 20), 2)
