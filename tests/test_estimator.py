@@ -178,21 +178,56 @@ class TestBlockStats:
         return lambda a, n, **options: estimate_weigert(a, wq, state, n, **options)
 
     @pytest.mark.parametrize("quorum", QUORUMS)
-    def test_blocked_mean_and_error_bar(self, quorum, spin_half, coherent2, monkeypatch):
+    def test_blocked_mean_and_error_bar(self, quorum, spin_half, coherent2):
         run = self._run(quorum, spin_half, coherent2)
         # 1003 shots per setting: the first 3 of the 20 blocks hold one more
         stats = run(spin_half.sz, 1003, seed=4)
         means, sizes = np.array(stats.block_means), np.array([51] * 3 + [50] * 17)
         assert stats.mean == np.sum(means * sizes) / np.sum(sizes)
         assert stats.error_bar == np.std(means, ddof=1) / np.sqrt(20)
-        # every shot worth 3.25 (the table's constant is 0 for S_z): each
-        # block mean, the mean and no error bar at all
-        monkeypatch.setattr(estimator, "_block_sums",
-                            lambda probs, values, sizes, seed: (3.25 * nb for nb in sizes))
-        stats = run(spin_half.sz, 1003, seed=4)
-        assert set(stats.block_means) == {3.25}
-        assert stats.mean == 3.25
-        assert stats.error_bar == 0.0
+
+    @staticmethod
+    def _patch_stream(monkeypatch, stream):
+        """Make the shots of every estimate worth ``stream``, in order.
+
+        The table's constant is 0 for S_z, so with a quota of len(stream) a
+        block mean of an S_z estimate is the mean of its slice of the
+        stream.  Returns the list that collects each estimate's block sizes.
+        """
+        drawn = []
+
+        def block_sums(probs, values, sizes, seed):
+            drawn.append(list(sizes))
+            bounds = np.cumsum(sizes)[:-1]
+            return (float(np.sum(b)) for b in np.split(np.asarray(stream, float), bounds))
+
+        monkeypatch.setattr(estimator, "_block_sums", block_sums)
+        return drawn
+
+    def test_constant_stream(self, spin_half, coherent2, monkeypatch):
+        # every shot worth 3.25: each block mean, the mean and no error bar at all
+        self._patch_stream(monkeypatch, [3.25] * 40)
+        for quorum in self.QUORUMS:
+            stats = self._run(quorum, spin_half, coherent2)(spin_half.sz, 40, n_blocks=4, seed=4)
+            assert stats.block_means == (3.25,) * 4
+            assert stats.mean == 3.25
+            assert stats.error_bar == 0.0
+
+    def test_hand_computed(self, spin_half, coherent2, monkeypatch):
+        self._patch_stream(monkeypatch, [0.0, 0.0, 1.0, 1.0])
+        for quorum in self.QUORUMS:
+            stats = self._run(quorum, spin_half, coherent2)(spin_half.sz, 4, n_blocks=2, seed=4)
+            assert stats.block_means == (0.0, 1.0)
+            assert stats.mean == 0.5
+            assert stats.error_bar == pytest.approx(0.5)
+
+    def test_uneven_split_front_loaded(self, spin_half, coherent2, monkeypatch):
+        drawn = self._patch_stream(monkeypatch, list(range(7)))
+        for quorum in self.QUORUMS:
+            stats = self._run(quorum, spin_half, coherent2)(spin_half.sz, 7, n_blocks=3, seed=4)
+            assert drawn.pop() == [3, 2, 2]
+            assert stats.block_means == (1.0, 3.5, 5.5)
+            assert stats.mean == pytest.approx(3.0)
 
     def test_binomial_error_bar(self, spin_half):
         # shots of +-1/2 with equal odds: the error bar is 1 / (2 sqrt(N))
