@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .frames import DualFrame, Quorum
+from .frames import DualFrame, Quorum, _require_aligned
 from .liouville import DimensionMismatchError, eig_hermitian, require_hermitian
 from .spin import Direction, SpinState, SpinSystem, WeigertQuorum
 
@@ -70,11 +70,7 @@ def _state_factors(state, dim: int) -> tuple[np.ndarray, np.ndarray]:
     weight 1; a density matrix keeps the eigenvectors whose eigenvalues
     are nonzero at working precision.
     """
-    if isinstance(state, SpinState):
-        if state.dim != dim:
-            raise DimensionMismatchError(f"state dim {state.dim} != operator dim {dim}")
-        return np.ones(1), state.amplitudes[None, :]
-    arr = np.asarray(state, dtype=complex)
+    arr = state.amplitudes if isinstance(state, SpinState) else np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         if arr.shape[0] != dim:
             raise DimensionMismatchError(f"state dim {arr.shape[0]} != operator dim {dim}")
@@ -252,8 +248,7 @@ def _discrete_table(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) -> Co
     and consume no samples.  All settings are diagonalised in one batch.
     """
     a = _target(a, quorum.dim)
-    if dual.dim != quorum.dim or len(dual) != len(quorum):
-        raise DimensionMismatchError("dual frame does not align with the quorum")
+    _require_aligned(quorum, dual)
     weights, factors = _state_factors(state, quorum.dim)
     require_hermitian(quorum.elements, [f"quorum element {label!r}" for label in quorum.labels])
     w, v = eig_hermitian(quorum.elements)

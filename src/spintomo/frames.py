@@ -64,7 +64,7 @@ class SingularGramError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Frame:
     """Ordered family of d x d operators, held as one read-only (N, d, d) array."""
 
@@ -87,7 +87,7 @@ class _Frame:
         return self.elements.reshape(len(self), -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quorum(_Frame):
     """Ordered family of same-dimension operators with setting labels.
 
@@ -124,7 +124,7 @@ class Quorum(_Frame):
         return u, sigma, vh, int(np.sum(sigma > RANK_RTOL * sigma[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualFrame(_Frame):
     """Dual operators aligned index-by-index with a quorum.
 
@@ -147,13 +147,19 @@ class DualFrame(_Frame):
         return cls(elements, tuple(bool(k) for k in kept_mask))
 
 
+def _require_aligned(q: Quorum, dual: DualFrame) -> None:
+    """Refuse a dual whose dimension or length differs from the quorum's."""
+    if q.dim != dual.dim or len(q) != len(dual):
+        raise DimensionMismatchError("quorum and dual frame do not align")
+
+
 @dataclass(frozen=True)
 class DefinitionCheck:
     passed: bool
     residual: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SpanningReport:
     """Outcome of completeness / spanning-set verification.
 
@@ -315,8 +321,7 @@ def reproducing_kernel_residual(q: Quorum, dual: DualFrame) -> float:
     Both vanish for exact dual pairs, including the Gram-Schmidt dual of a
     linearly dependent quorum, whose dropped elements have zero duals.
     """
-    if q.dim != dual.dim or len(q) != len(dual):
-        raise DimensionMismatchError("quorum and dual frame do not align")
+    _require_aligned(q, dual)
     c = q.coefficient_matrix().T
     b = dual.coefficient_matrix().T
     delta = b.conj().T @ c  # delta[n, n'] = Tr[B_n^dag C_n']
@@ -338,8 +343,7 @@ def verify_spanning_definitions(
     evaluation order.  The verdicts must agree; disagreement marks an
     internal inconsistency, not a property of the data.
     """
-    if q.dim != dual.dim or len(q) != len(dual):
-        raise DimensionMismatchError("quorum and dual frame do not align")
+    _require_aligned(q, dual)
     base = completeness_check(q)
 
     vc = q.coefficient_matrix().T

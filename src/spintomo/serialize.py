@@ -1,9 +1,10 @@
 """JSON and CSV interchange formats.
 
 Operators serialize as flat row-major lists of [re, im] pairs; quorums and
-dual frames as {"dim", "elements", "labels"}.  All floats go through
-Python's shortest round-trip repr (JSON) or 17 significant digits (CSV),
-so outputs are byte-stable for identical inputs.
+dual frames as {"dim", "elements", "labels"}.  A JSON file is one line,
+``json.dumps(doc)`` and a newline.  All floats go through Python's
+shortest round-trip repr (JSON) or 17 significant digits (CSV), so
+outputs are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -109,67 +110,27 @@ def run_stats_to_json_dict(stats: RunStats) -> dict:
     }
 
 
-def _is_number_table(flat: str) -> bool:
-    """Whether ``flat``, a compact JSON list, holds numbers or non-empty lists of numbers.
-
-    Numbers, true, false and null render without brackets, braces, quotes
-    or ", ", so the compact text can be re-indented by string replacement.
-    A nested list other than the first is preceded by "], ", so the counts
-    match only when no list lies deeper than one level.
-    """
-    if '"' in flat or "{" in flat or "[]" in flat:
-        return False
-    nested = flat.count("[") - 1
-    return nested == 0 or (
-        flat.startswith("[[") and flat.endswith("]]") and nested == flat.count("], [") + 1
-    )
-
-
-def _encode(o, newline: str) -> str:
-    """``json.dumps(o, indent=2)`` for a value that starts at the indentation of ``newline``."""
-    if isinstance(o, (list, tuple)) and o:
-        inner = newline + "  "
-        head = o[0][0] if isinstance(o[0], (list, tuple)) and o[0] else o[0]
-        # The head test only saves a useless encoding of deeper lists.
-        flat = "" if isinstance(head, (list, tuple, dict, str)) else json.dumps(o)
-        if flat and _is_number_table(flat):
-            if flat.startswith("[["):
-                deeper = inner + "  "
-                flat = flat.replace("], [", f"{deeper[:-2]}],{inner}[{deeper}")
-                flat = f"[{inner}[{deeper}" + flat[2:-2] + f"{inner}]{newline}]"
-                return flat.replace(", ", "," + deeper)
-            return f"[{inner}" + flat[1:-1].replace(", ", "," + inner) + f"{newline}]"
-        return f"[{inner}" + f",{inner}".join(_encode(x, inner) for x in o) + f"{newline}]"
-    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
-        inner = newline + "  "
-        items = (json.dumps(k) + ": " + _encode(v, inner) for k, v in o.items())
-        return "{" + inner + f",{inner}".join(items) + newline + "}"
-    # Scalars, empty containers and dicts with non-string keys.
-    return json.dumps(o, indent=2).replace("\n", newline)
-
-
 def dumps(doc) -> str:
-    """Exactly ``json.dumps(doc, indent=2)`` and a newline, rendered at C-encoder speed.
+    """``json.dumps(doc)`` and a newline: one line, written by the C encoder.
 
-    ``indent`` makes the standard library fall back to its pure-Python
-    encoder.  Here every list of numbers, or of lists of numbers, such as
-    an operator's [re, im] pairs, is encoded compactly by the C encoder and
-    re-indented by string replacement.
+    Floats go through Python's shortest round-trip ``repr``, so identical
+    documents give identical bytes and every float reads back bit for bit.
     """
-    return _encode(doc, "\n") + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def load_json_file(path: str):
-    """Parse a JSON file, annotating syntax errors with line context."""
+    """Parse a JSON file; a syntax error names ``path:line:col`` and quotes
+    at most 80 characters of its line around the column."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        line = text.splitlines()[err.lineno - 1] if text.splitlines() else ""
-        raise ValueError(
-            f"{path}:{err.lineno}:{err.colno}: {err.msg}\n  {line}"
-        ) from err
+        line_start = err.pos - err.colno + 1
+        line_end = text.find("\n", err.pos)
+        near = text[max(line_start, err.pos - 40):line_end if line_end >= 0 else None][:80]
+        raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}\n  {near}") from err
 
 
 def csv_float(x: float) -> str:

@@ -25,7 +25,7 @@ from .liouville import _frozen, eig_hermitian, op_exp
 WEIGERT_CONDITION_CAP = 1e10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinSystem:
     """Spin matrices for s = two_s / 2 in the m-ascending basis."""
 
@@ -151,7 +151,7 @@ class Direction:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinState:
     """Pure state as amplitudes over the m = -s ... +s basis, unit norm."""
 

@@ -27,7 +27,7 @@ from spintomo.spin import (
     tetrahedral_directions,
     weigert_quorum,
 )
-from spintomo.frames import Quorum
+from spintomo.frames import DualFrame, Quorum
 
 from conftest import SX, SY, SZ
 
@@ -409,6 +409,9 @@ class TestSimulate:
         # a state spec whose argument does not parse is named in the refusal
         ({"state": "coherent:xyz"}, "state spec 'coherent:xyz': 'xyz' is not a complex number"),
         ({"state": "basis:abc"}, "state spec 'basis:abc': 'abc' is not a real number"),
+        # a value of the right type that names no quorum, or a quorum short of an input
+        ({"quorum": "foo"}, "unknown quorum spec 'foo'; use pauli, continuous or weigert"),
+        ({"quorum": "weigert"}, "the Weigert quorum needs a directions file or a weigert_seed"),
     ]
 
     @pytest.mark.parametrize(
@@ -612,4 +615,40 @@ def test_unwritable_output_exits_2(runner, tmp_path, args):
     result = runner.invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 2, result.output
     assert "error: [Errno 2] No such file or directory" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args, config, env, message", [
+    (["simulate", "--config", "{config}"], [1, 2], {}, "{config}: config must be a JSON object"),
+    (["simulate", "--n-samples", "600"], None, {"TOMO_SEED": "abc"},
+     "TOMO_SEED must be an integer, got 'abc'"),
+    (["quorum", "check", "--pauli", "{quorum}"], None, {},
+     "give either a quorum file or --pauli, not both"),
+    (["simulate", "--state", "spin:1"], None, {},
+     "unknown state spec 'spin:1'; use coherent:A, basis:M or density:PATH"),
+    (["simulate", "--target", "sw"], None, {},
+     "unknown target spec 'sw'; use sx, sy, sz or file:PATH"),
+], ids=["config-list", "seed-env-not-integer", "check-file-and-pauli", "unknown-state",
+        "unknown-target"])
+def test_refused_input_exits_2(runner, tmp_path, args, config, env, message):
+    paths = {"config": tmp_path / "cfg.json", "quorum": tmp_path / "q.json"}
+    paths["config"].write_text(json.dumps(config))
+    write_quorum(paths["quorum"], [SX, SY, SZ, np.eye(2)])
+    result = runner.invoke(main, [a.format(**paths) for a in args], env=env)
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == f"error: {message.format(**paths)}"
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_non_real_dual_coefficient_exits_1(runner, monkeypatch):
+    # the Pauli dual turned by a phase: each nonzero coefficient of a Hermitian target is complex
+    q, dual = pauli_quorum()
+    turned = DualFrame.from_elements(dual.elements * np.exp(0.3j))
+    monkeypatch.setattr(experiments, "pauli_quorum", lambda: (q, turned))
+    message = "non-real dual coefficient for setting 'sigma_z': "
+    with pytest.raises(DualCoefficientError, match=f"^{message}"):
+        simulate_run(ExperimentConfig(n_samples=600))
+    result = runner.invoke(main, ["simulate", "--n-samples", "600"])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[-1].startswith(f"error: {message}")
     assert isinstance(result.exception, SystemExit)

@@ -305,8 +305,12 @@ class TestDiscreteEstimator:
     def test_rejects_misaligned_dual(self, spin_half, coherent2):
         q, dual = pauli_quorum()
         short = DualFrame.from_elements(list(dual.elements[:3]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^quorum and dual frame do not align$"):
             estimate_discrete(spin_half.sz, q, short, coherent2, 100)
+
+    def test_rejects_unknown_selection(self, spin_half, coherent2):
+        with pytest.raises(ValueError, match="^unknown selection convention 'x'$"):
+            estimate_discrete(spin_half.sz, *pauli_quorum(), coherent2, 100, selection="x")
 
     @pytest.mark.parametrize(
         "state, error",
@@ -316,6 +320,8 @@ class TestDiscreteEstimator:
             (np.array([1.0, 1.0]), "norm"),
             (np.diag([1.5, -0.5]).astype(complex), "positive"),
             (np.diag([0.9, 0.2]).astype(complex), "trace"),
+            (coherent_state(make_spin_system(2), 0.5), "^state dim 3 != operator dim 2$"),
+            (np.eye(3) / 3, r"^density matrix shape \(3, 3\), expected \(2, 2\)$"),
         ],
     )
     def test_state_validated_without_sampled_settings(self, state, error):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintomo import (
+    DimensionMismatchError,
     IncompleteQuorumError,
     Quorum,
     SingularGramError,
@@ -22,7 +23,13 @@ from spintomo import (
     verify_spanning_definitions,
 )
 from spintomo.frames import DROP_RTOL, DualFrame
-from spintomo.spin import make_spin_system, pauli_quorum, tetrahedral_directions, weigert_quorum
+from spintomo.spin import (
+    coherent_state,
+    make_spin_system,
+    pauli_quorum,
+    tetrahedral_directions,
+    weigert_quorum,
+)
 
 from conftest import EYE2, SX, SY, SZ, random_quorum
 
@@ -336,6 +343,19 @@ class TestReproducingKernel:
         assert reproducing_kernel_residual(q, dual) <= 1e-10
 
 
+MISALIGNED = [
+    DualFrame.from_elements(pauli_quorum()[1].elements[:3]),
+    DualFrame.from_elements([np.eye(3)] * 4),
+]
+
+
+@pytest.mark.parametrize("check", [reproducing_kernel_residual, verify_spanning_definitions])
+@pytest.mark.parametrize("dual", MISALIGNED, ids=["short", "wrong-dim"])
+def test_misaligned_pair_refused(check, dual):
+    with pytest.raises(DimensionMismatchError, match="^quorum and dual frame do not align$"):
+        check(pauli_quorum()[0], dual)
+
+
 class TestSpanningDefinitions:
     def test_pauli_all_pass(self):
         q, dual = pauli_quorum()
@@ -427,3 +447,17 @@ class TestQuorumType:
         ops[0, 0, 0] = 5.0
         assert ops.flags.writeable
         assert q.elements[0, 0, 0] == 0 and dual.elements[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_spin_system(1),
+    lambda: coherent_state(make_spin_system(2), 0.5),
+    lambda: pauli_quorum()[0],
+    lambda: pauli_quorum()[1],
+    lambda: completeness_check(Quorum.from_elements([SX, SY, SZ])),
+], ids=["system", "state", "quorum", "dual", "report-with-witness"])
+def test_array_values_compare_by_identity(make):
+    # a field-wise == would ask an array for one truth value
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

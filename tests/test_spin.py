@@ -43,6 +43,10 @@ class TestSpinSystem:
     def test_spin_one_sz(self):
         assert np.allclose(make_spin_system(2).sz, np.diag([-1, 0, 1]))
 
+    def test_negative_spin_rejected(self):
+        with pytest.raises(ValueError, match="^two_s must be a nonnegative integer$"):
+            make_spin_system(-1)
+
     @pytest.mark.parametrize("two_s", [0, 1, 2, 3, 5, 8])
     def test_su2_algebra(self, two_s):
         sys_ = make_spin_system(two_s)
