@@ -101,9 +101,12 @@ def _default_seed() -> int:
     """The seed of a command run without one: ``TOMO_SEED`` if it is set, else 42."""
     env = os.environ.get("TOMO_SEED")
     try:
-        return DEFAULT_SEED if env is None else int(env)
+        seed = DEFAULT_SEED if env is None else int(env)
     except ValueError as err:
         raise ValueError(f"TOMO_SEED must be an integer, got {env!r}") from err
+    if seed < 0:
+        raise ValueError(f"TOMO_SEED must not be negative, got {env!r}")
+    return seed
 
 
 class _Main(click.Group):
@@ -149,7 +152,8 @@ def quorum():
 @click.option("--pauli", is_flag=True, help="Use the built-in spin-1/2 Pauli quorum.")
 @click.option("--trials", default=50, show_default=True, type=click.IntRange(min=1),
               help="Random operators per definition test.")
-@click.option("--seed", type=int, default=_default_seed, show_default="TOMO_SEED, else 42")
+@click.option("--seed", type=click.IntRange(min=0), default=_default_seed,
+              show_default="TOMO_SEED, else 42")
 @click.option("--out", type=click.Path(), help="Write the JSON report here.")
 def quorum_check(quorum_file, pauli, trials, seed, out):
     """Check completeness and the four spanning-set definitions."""
@@ -241,7 +245,8 @@ def simulate(config_path, out, csv_path, **flags):
 @main.command()
 @click.option("--alpha", default="2", show_default=True, help="Coherent-state amplitude (complex).")
 @click.option("--n-max", default=100000, show_default=True, type=int)
-@click.option("--seed", type=int, default=_default_seed, show_default="TOMO_SEED, else 42")
+@click.option("--seed", type=click.IntRange(min=0), default=_default_seed,
+              show_default="TOMO_SEED, else 42")
 @click.option("--n-blocks", default=20, show_default=True, type=int)
 @click.option("--checkpoints", "n_checkpoints", default=20, show_default=True, type=int,
               help="Number of log-spaced sample budgets.")

@@ -16,10 +16,10 @@ the Weigert projector quorum.  Each builds one ``CountTable`` of its
 estimate and every checkpoint draw from it.  An estimate sees a block
 only through the sum of its outcome values, whose law is set by the
 multinomial counts of the cells.  A block of nb shots on each of k rows
-of M cells draws its shots by inverse transform when their binary searches
-over the kM-cell table take fewer steps than a row has cells, and
-otherwise the counts of every cell in one multinomial, so per block it
-costs O(k min(nb log(kM), M)) time and O(kM) memory.
+of M cells draws each row's shots by inverse transform, one binary search
+of the row per shot, when that takes fewer steps than the row has cells,
+and otherwise the counts of every cell in one multinomial, so per block it
+costs O(k min(nb log M, M)) time and O(kM) memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frames import DualFrame, Quorum, _require_aligned
-from .liouville import DimensionMismatchError, eig_hermitian, require_hermitian
+from .liouville import DimensionMismatchError, as_operator, eig_hermitian, require_hermitian
 from .spin import Direction, SpinState, SpinSystem, WeigertQuorum
 
 
@@ -98,13 +98,13 @@ def _expectations(ops: np.ndarray, weights: np.ndarray, rows: np.ndarray):
 
 def state_expectation(state, a: np.ndarray) -> complex:
     """Exact mean value Tr[rho a] of the operator on the state."""
-    a = np.asarray(a, dtype=complex)
+    a = as_operator(a)
     return complex(_expectations(a, *_state_factors(state, a.shape[0])))
 
 
 def _target(a: np.ndarray, dim: int) -> np.ndarray:
-    """The target as a complex array, checked Hermitian and of dimension ``dim``."""
-    a = np.asarray(a, dtype=complex)
+    """The target as a square complex matrix, checked Hermitian and of dimension ``dim``."""
+    a = as_operator(a)
     require_hermitian(a, "target operator")
     if a.shape[0] != dim:
         raise DimensionMismatchError(f"operator dim {a.shape[0]} != quorum dim {dim}")
@@ -131,59 +131,43 @@ def _blocks(budget: int, n_blocks: int, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # count engine of every quorum
 
-def _shot_table(probs: np.ndarray) -> np.ndarray:
-    """Flat cumulative table of the shot route: row k is k + the row's normalised cumsum.
-
-    Dividing by the row's last entry ends row k at exactly k + 1, so a
-    uniform u in [0, 1) shifted by k, and kept below k + 1, falls in row k;
-    a cell of zero probability is an empty interval that no u can fall in.
-    """
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    cum += np.arange(len(probs))[:, None]
-    return cum.ravel()
-
-
 def _by_shots(sizes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Which blocks of ``sizes`` shots per row draw their shots rather than their counts.
 
     A row's multinomial makes one binomial draw per cell, M steps; its nb
-    shots make one binary search each over the whole table of L = kM
-    cells, L.bit_length() probes.  A block takes the shot route when that
-    is fewer steps.  Counting a probe as dear as a binomial draw keeps the
+    shots make one binary search each over the row's own M cells,
+    M.bit_length() probes.  A block takes the shot route when that is
+    fewer steps.  Counting a probe as dear as a binomial draw keeps the
     switch on the safe side: timed on one core of a 2-vCPU Xeon VM, on
     one-row tables of 1,760 to 76,160 cells, shots stay the cheaper route
     up to about M/2 to M/5 shots.  The product is taken in floating point,
     where the largest blocks cannot wrap it round as 64-bit integers would.
     """
-    return sizes * float(probs.size.bit_length()) < probs.shape[1]
+    return sizes * float(probs.shape[1].bit_length()) < probs.shape[1]
 
 
 def _block_sums(probs: np.ndarray, values: np.ndarray, sizes: np.ndarray, seed: int):
     """Sum of the outcome values of each block: ``nb`` shots of every setting per block.
 
     Block bi draws from ``default_rng([seed, bi])``, by the route that
-    ``_by_shots`` picks from its nb and the table's shape alone.  The counts
+    ``_by_shots`` picks from its nb and the row length alone.  The counts
     route draws every cell's count in one multinomial; the shot route
-    draws one uniform per shot and looks it up in the cumulative table.
-    Both draw the same multinomial law; memory is O(cells) either way.
+    draws one uniform per shot and looks it up in its own row's cumsum,
+    divided in place by its last entry.  A row then ends at exactly 1.0, so
+    every u in [0, 1) lands in its row, and never in a cell of probability
+    zero, an empty interval.  Both draw the same multinomial law; memory is
+    O(cells) either way.
     """
-    rows = len(probs)
-    offsets = np.arange(rows)[:, None]
-    # the largest double below k + 1: u + k may round up to k + 1, the next row
-    row_top = np.nextafter(offsets + 1.0, 0.0)
-    by_shots = _by_shots(sizes, probs)
-    table = _shot_table(probs) if by_shots.any() else None
-    flat_values = values.ravel()
-    for bi, (nb, shots) in enumerate(zip(sizes, by_shots)):
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    for bi, (nb, shots) in enumerate(zip(sizes, _by_shots(sizes, probs))):
         rng = np.random.default_rng([seed, bi])
         if not shots:
             yield float(np.sum(rng.multinomial(nb, probs) * values))
         else:
-            u = rng.random((rows, nb))
-            u += offsets
-            np.minimum(u, row_top, out=u)
-            yield float(np.sum(flat_values[np.searchsorted(table, u, side="right")]))
+            u = rng.random((len(probs), nb))
+            yield float(np.sum([v[c.searchsorted(row, side="right")]
+                                for c, v, row in zip(cum, values, u)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +271,7 @@ def estimate_discrete(
     scaled by the number of sampled settings.  Both are unbiased; the
     variance differs.  Each block draws from a generator seeded per
     (seed, block), its counts or, when a row has many more outcomes M than
-    the block has shots nb per setting, its shots: O(min(nb log(kM), M))
+    the block has shots nb per setting, its shots: O(min(nb log M, M))
     time per setting and O(kM) memory for k settings.
     """
     if selection not in ("quota", "uniform"):

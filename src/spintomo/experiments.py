@@ -15,7 +15,6 @@ import numpy as np
 
 from . import serialize
 from .estimator import _continuous_table, _discrete_table, _weigert_table, state_expectation
-from .liouville import require_hermitian
 from .spin import (
     SpinState,
     SpinSystem,
@@ -33,7 +32,8 @@ DEFAULT_SEED = 42
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One reconstruction run, checked when it is made: each value must have
-    its field's type (nothing is converted), and the quorum exactly its inputs.
+    its field's type (nothing is converted), no seed may be negative, and the
+    quorum must have exactly its inputs.
     """
 
     spin_two_s: int = 1
@@ -56,6 +56,9 @@ class ExperimentConfig:
         for key, kind in kinds.items():
             if key in given or key not in weigert_inputs:
                 serialize._checked(getattr(self, key), key, kind)
+        for key in ("seed", "weigert_seed"):
+            if (getattr(self, key) or 0) < 0:
+                raise ValueError(f"{key} must not be negative, got {getattr(self, key)}")
         if not isinstance(self.checkpoints, (list, tuple)):
             raise ValueError(f"checkpoints must be a list of integers, got {self.checkpoints!r}")
         checkpoints = (serialize._checked(n, "checkpoints", "an integer") for n in self.checkpoints)
@@ -116,7 +119,7 @@ def resolve_target(cfg: ExperimentConfig, system: SpinSystem) -> np.ndarray:
         return getattr(system, cfg.target)
     kind, _, arg = cfg.target.partition(":")
     if kind == "file":
-        return require_hermitian(_load_operator(arg), "target operator")
+        return _load_operator(arg)
     raise ValueError(f"unknown target spec {cfg.target!r}; use sx, sy, sz or file:PATH")
 
 

@@ -50,17 +50,17 @@ class IncompleteQuorumError(ValueError):
 
 
 class SingularGramError(ValueError):
-    """Gram matrix too ill-conditioned for a stable inversion."""
+    """Gram matrix too ill-conditioned for a stable inversion.
 
-    def __init__(self, condition: float, detail: str | None = None):
-        message = (
-            f"Gram matrix condition number {condition:.3e} exceeds the stability cap; "
-            "the quorum elements are linearly dependent or nearly so "
-            "(the Gram-Schmidt route handles dependent sets by elimination)"
+    The message names the cap that ``condition`` reached and ends with
+    ``remedy``, what the caller can do instead.
+    """
+
+    def __init__(self, condition: float, cap: float, remedy: str):
+        super().__init__(
+            f"Gram matrix condition number {condition:.3e} is not below the cap {cap:g}; "
+            f"the quorum elements are linearly dependent or nearly so; {remedy}"
         )
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
         self.condition = condition
 
 
@@ -285,19 +285,20 @@ def dual_via_gram_schmidt(q: Quorum, allow_subspace: bool = False) -> DualFrame:
     return DualFrame.from_elements(b_rows.reshape(len(q), q.dim, q.dim), kept_mask)
 
 
-def _gram_dual(q: Quorum, condition_cap: float) -> tuple[DualFrame, float]:
+def _gram_dual(q: Quorum, condition_cap: float, remedy: str) -> tuple[DualFrame, float]:
     """Gram dual B = C G^-1 = (C^+)^H and cond(G), both from one SVD of C.
 
     With rows vec(C_n) = (U S V^H)_n, the rows vec(B_n) are (U S^-1 V^H)_n
     and cond(G) = (sigma_max / sigma_min)^2; cond(G) >= ``condition_cap``
-    raises ``SingularGramError``, so does N > d^2 (G is then singular).
+    raises ``SingularGramError`` ending in ``remedy``, so does N > d^2 (G
+    is then singular).
     """
     u, sigma, vh, _ = q.svd
     n = len(q)
     singular = n > sigma.size or sigma[-1] == 0.0
     condition = float("inf") if singular else float((sigma[0] / sigma[-1]) ** 2)
     if not np.isfinite(condition) or condition >= condition_cap:
-        raise SingularGramError(condition)
+        raise SingularGramError(condition, condition_cap, remedy)
     b_rows = (u / sigma) @ vh[:n]
     return DualFrame.from_elements(b_rows.reshape(n, q.dim, q.dim)), condition
 
@@ -309,7 +310,8 @@ def dual_via_gram_inverse(q: Quorum) -> DualFrame:
     Requires linearly independent elements; an ill-conditioned Gram matrix
     (condition number >= 1e12) raises ``SingularGramError``.
     """
-    return _gram_dual(q, GRAM_CONDITION_CAP)[0]
+    remedy = "the Gram-Schmidt route handles dependent sets by elimination"
+    return _gram_dual(q, GRAM_CONDITION_CAP, remedy)[0]
 
 
 def reproducing_kernel_residual(q: Quorum, dual: DualFrame) -> float:

@@ -268,13 +268,14 @@ def weigert_quorum(system: SpinSystem, directions: list[Direction]) -> WeigertQu
     close = np.argwhere(np.triu(chord <= 1e-12, k=1))
     if close.size:
         i, j = close[0]
-        raise SingularGramError(float("inf"), detail=f"directions {i} and {j} coincide")
+        raise SingularGramError(float("inf"), WEIGERT_CONDITION_CAP,
+                                f"directions {i} and {j} coincide; choose other directions")
     # the top rows R|s> of all directions in one batch, as in max_spin_projector
     top = system.rotated_basis([n.theta for n in directions], [n.phi for n in directions])[:, -1]
     projectors = top[:, :, None] * top[:, None, :].conj()
     labels = [f"n_{k}({d.theta:.12g},{d.phi:.12g})" for k, d in enumerate(directions)]
     quorum = Quorum.from_elements(projectors, labels)
-    dual, condition = _gram_dual(quorum, WEIGERT_CONDITION_CAP)
+    dual, condition = _gram_dual(quorum, WEIGERT_CONDITION_CAP, "choose other directions")
     return WeigertQuorum(
         system=system,
         directions=tuple(directions),

@@ -177,7 +177,11 @@ class TestQuorumDual:
         path = write_quorum(tmp_path / "q.json", [p, p, SX, SY, SZ])
         result = runner.invoke(main, ["quorum", "dual", str(path), "--method", "gram"])
         assert result.exit_code == 1
-        assert "condition" in result.output
+        assert "condition number" in result.output
+        assert "is not below the cap 1e+12" in result.output
+        assert result.output.rstrip().endswith(
+            "the Gram-Schmidt route handles dependent sets by elimination"
+        )
 
 
 class TestSimulate:
@@ -286,6 +290,19 @@ class TestSimulate:
         )
         assert result.exit_code == 1
         assert "coincide" in result.output
+
+    def test_weigert_refusal_names_its_cap(self, runner):
+        # random d = 10 directions are over the Weigert cap; no Gram-Schmidt route exists there
+        result = runner.invoke(
+            main, ["simulate", "--quorum", "weigert", "--spin-two-s", "9", "--weigert-seed", "1"]
+        )
+        assert result.exit_code == 1
+        [line] = result.output.splitlines()
+        assert line.startswith("error: Gram matrix condition number ")
+        assert line.endswith(
+            " is not below the cap 1e+10; the quorum elements are linearly dependent "
+            "or nearly so; choose other directions"
+        )
 
     @pytest.mark.parametrize(
         "args, cfg, message",
@@ -638,6 +655,26 @@ def test_refused_input_exits_2(runner, tmp_path, args, config, env, message):
     assert result.exit_code == 2, result.output
     assert result.output.splitlines()[-1] == f"error: {message.format(**paths)}"
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args, config, env, line", [
+    (["simulate", "--seed", "-1"], None, {}, "error: seed must not be negative, got -1"),
+    (["fig1", "--seed", "-3"], None, {},
+     "Error: Invalid value for '--seed': -3 is not in the range x>=0."),
+    (["quorum", "check", "--pauli", "--seed", "-1"], None, {},
+     "Error: Invalid value for '--seed': -1 is not in the range x>=0."),
+    (["simulate", "--quorum", "weigert", "--weigert-seed", "-2"], None, {},
+     "error: weigert_seed must not be negative, got -2"),
+    (["simulate"], None, {"TOMO_SEED": "-4"}, "error: TOMO_SEED must not be negative, got '-4'"),
+    (["simulate", "--config", "{config}"], {"seed": -1}, {},
+     "error: seed must not be negative, got -1"),
+], ids=["simulate-seed", "fig1-seed", "check-seed", "weigert-seed", "seed-env", "config-seed"])
+def test_negative_seed_refused_by_name(runner, tmp_path, args, config, env, line):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    result = runner.invoke(main, [a.format(config=config_path) for a in args], env=env)
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == line
 
 
 def test_non_real_dual_coefficient_exits_1(runner, monkeypatch):

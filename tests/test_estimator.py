@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import partial
 
@@ -14,6 +15,7 @@ from spintomo import (
     continuous_exact_value,
     continuous_kernel,
     discrete_exact_value,
+    dual_via_gram_schmidt,
     estimate_continuous,
     estimate_discrete,
     estimate_weigert,
@@ -31,7 +33,7 @@ from spintomo import (
 from spintomo.estimator import _state_factors
 from spintomo.spin import Direction
 
-from conftest import SX, SZ, psi_quadrature_kernel
+from conftest import SX, SZ, psi_quadrature_kernel, random_quorum
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +303,21 @@ class TestDiscreteEstimator:
         q, dual = pauli_quorum()
         with pytest.raises(NotHermitianError):
             estimate_discrete(np.array([[0, 1], [0, 0]]), q, dual, coherent2, 100)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (1, 2, 2)], ids=["2x3", "1-d", "stack"])
+    def test_rejects_target_of_wrong_shape(self, spin_half, coherent2, shape):
+        q, dual = pauli_quorum()
+        wq = weigert_quorum(spin_half, tetrahedral_directions())
+        message = re.escape(f"operator must be a nonempty square matrix, got shape {shape}")
+        a = np.zeros(shape)
+        for call in (
+            lambda: state_expectation(coherent2, a),
+            lambda: estimate_discrete(a, q, dual, coherent2, 100),
+            lambda: estimate_continuous(a, spin_half, coherent2, 100),
+            lambda: estimate_weigert(a, wq, coherent2, 100),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
     def test_rejects_misaligned_dual(self, spin_half, coherent2):
         q, dual = pauli_quorum()
@@ -776,19 +793,33 @@ class _FixedUniforms:
 class TestShotRoute:
     """Blocks whose shots take fewer steps than their counts draw the shots by inverse transform."""
 
-    def test_table_implies_the_cell_probabilities(self, rng):
+    def test_table_implies_the_cell_probabilities(self, rng, monkeypatch):
+        # the shot route divides its cumsum in place: the recorded array is
+        # the table of cumulative rows that it searches
+        tables = []
+        cumsum = np.cumsum
+
+        def recording(*args, **kwargs):
+            tables.append(cumsum(*args, **kwargs))
+            return tables[-1]
+
         sys_ = make_spin_system(15)
         a = random_hermitian(16, rng)
-        for state in _pure_and_mixed(sys_, rng).values():
-            probs = estimator._continuous_table(a, sys_, state).probs
-            implied = np.diff(estimator._shot_table(probs), prepend=0.0)
-            assert np.abs(implied - probs[0]).max() <= 2 * np.finfo(float).eps
-        # many rows: row k of the table is offset by k
+        cases = [estimator._continuous_table(a, sys_, state).probs
+                 for state in _pure_and_mixed(sys_, rng).values()]
+        # many rows: each row is its own table
         wq = weigert_quorum(make_spin_system(2), random_directions(9, seed=23))
-        probs = estimator._weigert_table(random_hermitian(3, rng), wq, random_density(3, rng)).probs
-        table = estimator._shot_table(probs).reshape(probs.shape)
-        implied = np.diff(table - np.arange(len(probs))[:, None], prepend=0.0, axis=1)
-        assert np.abs(implied - probs).max() <= len(probs) * np.finfo(float).eps
+        cases.append(
+            estimator._weigert_table(random_hermitian(3, rng), wq, random_density(3, rng)).probs
+        )
+        monkeypatch.setattr(np, "cumsum", recording)
+        for probs in cases:
+            tables.clear()
+            list(estimator._block_sums(probs, np.zeros_like(probs), np.array([1, 1]), 5))
+            [table] = tables
+            assert table[:, -1].tolist() == [1.0] * len(probs)
+            implied = np.diff(table, prepend=0.0)
+            assert np.abs(implied - probs).max() <= 2 * np.finfo(float).eps
 
     def test_zero_probability_cells_never_drawn(self, rng):
         probs = np.array([[0.0, 0.2, 0.0, 0.3, 0.5, 0.0],
@@ -812,8 +843,8 @@ class TestShotRoute:
         "u, cell", [(0.0, "first"), (1.0 - 2.0**-53, "last")], ids=["first", "last"]
     )
     def test_extreme_uniform_stays_in_its_row(self, u, cell, monkeypatch):
-        # k + u rounds up to k + 1 for the largest u below 1; the shot must
-        # still land in row k, on its last cell of nonzero probability
+        # each row's cumulative row ends at exactly 1.0, so the largest u
+        # below 1 lands on the row's last cell of nonzero probability
         probs = np.array([[0.0, 0.5, 0.5, 0.0, 0, 0, 0, 0],
                           [0.25, 0.0, 0.75, 0.0, 0, 0, 0, 0],
                           [0.0, 0.0, 1.0, 0.0, 0, 0, 0, 0],
@@ -827,6 +858,47 @@ class TestShotRoute:
         for k, idx in enumerate(nonzero):
             want[k, idx[0] if cell == "first" else idx[-1]] = 1
         assert np.array_equal(counts, [want, want])
+
+
+class TestShotRouteBitIdentical:
+    """Blocks that draw shots keep their inverse-transform draw.
+
+    The block means below were recorded with every block on the shot route
+    of a one-row table; a change to the route must not move them by a bit.
+    """
+
+    def test_continuous_d16(self):
+        sys_ = make_spin_system(15)
+        state = coherent_state(sys_, 0.4 + 0.3j)
+        a = sys_.sz @ sys_.sz + sys_.sx
+        probs = estimator._continuous_table(a, sys_, state).probs
+        assert estimator._by_shots(estimator._blocks(10_000, 20, "n"), probs).all()
+        stats = estimate_continuous(a, sys_, state, 10_000, n_blocks=20, seed=7)
+        assert stats.block_means == (
+            21.246154038215526, 30.02556287018996, 22.14026634817465, 25.636208737199006,
+            29.81274562707814, 21.694806008545928, 14.29488753048827, 25.189817214391088,
+            31.589431299208538, 21.422565243477198, 22.04726652747204, 21.890226074711055,
+            24.918766964409304, 31.676922030303565, 24.81498552789383, 21.865903359843475,
+            30.61507242698779, 22.868176802119372, 28.826275275305438, 26.11264188800835,
+        )
+
+    def test_uniform_d16(self):
+        # 256 settings of 16 outcomes pool into one row of 4,096 cells;
+        # 20 samples per setting make 20 blocks of 256 shots
+        q = random_quorum(16, 256, seed=11)
+        dual = dual_via_gram_schmidt(q)
+        rng = np.random.default_rng(5)
+        rho = random_density(16, rng)
+        a = random_hermitian(16, rng)
+        assert estimator._by_shots(np.array([256]), np.zeros((1, 4096))).all()
+        stats = estimate_discrete(a, q, dual, rho, 20, n_blocks=20, seed=3, selection="uniform")
+        assert stats.block_means == (
+            132.22693440962985, 31.64693175946625, 162.42799513651667, -20.400302007923074,
+            -34.212735589385375, 31.82321177257603, 361.0689031771085, 205.3908989205771,
+            24.06755628547063, -350.48922252273394, -497.7207851891033, -302.8166959796852,
+            -152.87656312546576, -120.36386453196789, 69.81547457515452, 58.251166641004104,
+            -133.39843438899806, 31.029404816349775, 263.01344260109613, 220.27462857463476,
+        )
 
 
 class TestCountsRouteBitIdentical:
