@@ -15,15 +15,18 @@ the Weigert projector quorum.  Each builds one ``CountTable`` of its
 (setting, outcome) cells; a run builds its table once, and its main
 estimate and every checkpoint draw from it.  An estimate sees a block
 only through the sum of its outcome values, whose law is set by the
-multinomial counts of the cells.  A block of nb shots on each of k rows
-of M cells draws each row's shots by inverse transform, one binary search
-of the row per shot, when that takes fewer steps than the row has cells,
-and otherwise the counts of every cell in one multinomial, so per block it
-costs O(k min(nb log M, M)) time and O(kM) memory.
+multinomial counts of the cells.  An estimate draws from one generator,
+block after block, several blocks of one size per numpy call; the result
+does not depend on how the blocks are grouped.  A block of nb shots on
+each of k rows of M cells draws each row's shots by inverse transform, one
+binary search of the row per shot, when that takes fewer steps than the
+row has cells, and otherwise the counts of every cell in one multinomial,
+so per block it costs O(k min(nb log M, M)) time and O(kM) memory.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,28 +149,44 @@ def _by_shots(sizes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return sizes * float(probs.shape[1].bit_length()) < probs.shape[1]
 
 
-def _block_sums(probs: np.ndarray, values: np.ndarray, sizes: np.ndarray, seed: int):
+# Most (block, setting, outcome-or-shot) cells one numpy call draws: bounds
+# the memory of a draw whatever n_blocks is, and does not change its bits.
+_CELLS = 1 << 18
+
+
+def _block_sums(probs: np.ndarray, values: np.ndarray, sizes: np.ndarray, seed: int) -> np.ndarray:
     """Sum of the outcome values of each block: ``nb`` shots of every setting per block.
 
-    Block bi draws from ``default_rng([seed, bi])``, by the route that
-    ``_by_shots`` picks from its nb and the row length alone.  The counts
-    route draws every cell's count in one multinomial; the shot route
-    draws one uniform per shot and looks it up in its own row's cumsum,
-    divided in place by its last entry.  A row then ends at exactly 1.0, so
-    every u in [0, 1) lands in its row, and never in a cell of probability
-    zero, an empty interval.  Both draw the same multinomial law; memory is
+    The blocks draw in order from one ``default_rng(seed)``, each by the
+    route that ``_by_shots`` picks from its nb and the row length alone.
+    Consecutive blocks of one size draw together, as many per call as fit
+    in ``_CELLS`` cells; numpy gives g blocks the same bits in one call as
+    in g, so the sums do not depend on the grouping.  The counts route
+    draws every cell's count in one multinomial; the shot route draws one
+    uniform per shot and looks it up in its own row's cumsum, divided in
+    place by its last entry.  A row then ends at exactly 1.0, so every u in
+    [0, 1) lands in its row, and never in a cell of probability zero, an
+    empty interval.  Both draw the same multinomial law; memory is
     O(cells) either way.
     """
+    rng = np.random.default_rng(seed)
     cum = np.cumsum(probs, axis=1)
     cum /= cum[:, -1:]
-    for bi, (nb, shots) in enumerate(zip(sizes, _by_shots(sizes, probs))):
-        rng = np.random.default_rng([seed, bi])
-        if not shots:
-            yield float(np.sum(rng.multinomial(nb, probs) * values))
-        else:
-            u = rng.random((len(probs), nb))
-            yield float(np.sum([v[c.searchsorted(row, side="right")]
-                                for c, v, row in zip(cum, values, u)]))
+    sums = []
+    for nb, run in itertools.groupby(sizes):
+        n_run, shots = len(list(run)), _by_shots(nb, probs)
+        cells = max(1, len(probs) * (nb if shots else probs.shape[1]))  # of one block
+        per_call = max(1, _CELLS // cells)
+        for lo in range(0, n_run, per_call):
+            g = min(per_call, n_run - lo)
+            if not shots:
+                draw = rng.multinomial(np.full((g, 1), nb), probs) * values
+            else:
+                draw = rng.random((g, len(probs), nb))
+                for k, (c, v) in enumerate(zip(cum, values)):
+                    draw[:, k] = v[c.searchsorted(draw[:, k], side="right")]
+            sums.extend(draw.reshape(g, -1).sum(axis=1))
+    return np.array(sums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +288,8 @@ def estimate_discrete(
     and sum across settings.  With ``selection="uniform"`` the same total
     budget is spent on uniformly random settings and each contribution is
     scaled by the number of sampled settings.  Both are unbiased; the
-    variance differs.  Each block draws from a generator seeded per
-    (seed, block), its counts or, when a row has many more outcomes M than
+    variance differs.  The blocks draw in order from one generator seeded
+    by ``seed``, each its counts or, when a row has many more outcomes M than
     the block has shots nb per setting, its shots: O(min(nb log M, M))
     time per setting and O(kM) memory for k settings.
     """
@@ -362,10 +381,10 @@ def estimate_continuous(
 
     Each sample draws one grid direction with its quadrature weight and one
     outcome m of S.n with its Born probability, and contributes the
-    closed-form outcome kernel.  As for the discrete quorums, each block
-    draws its counts of the M (direction, outcome) cells or, when its nb
-    shots take fewer steps, the shots: O(min(nb log M, M)) time and O(M)
-    memory.
+    closed-form outcome kernel.  As for the discrete quorums, the blocks
+    draw in order from one generator seeded by ``seed``, each its counts of
+    the M (direction, outcome) cells or, when its nb shots take fewer
+    steps, the shots: O(min(nb log M, M)) time and O(M) memory.
     """
     return _continuous_table(a, system, state).estimate(n_samples, n_blocks, seed)
 

@@ -474,6 +474,17 @@ class TestContinuousEstimator:
         with pytest.raises(ValueError, match="blocks"):
             estimate_continuous(spin_half.sz, spin_half, coherent2, 10, n_blocks=20)
 
+    def test_largest_dimension(self, rng):
+        # d = 64: one row of 566,016 (node, outcome) cells
+        sys_ = make_spin_system(63)
+        rho = random_density(64, rng)
+        a = random_hermitian(64, rng)
+        table = estimator._continuous_table(a, sys_, rho)
+        exact = np.trace(rho @ a).real
+        assert table.exact() == pytest.approx(exact, abs=1e-12)
+        stats = table.estimate(100_000, 20, seed=5)
+        assert abs(stats.mean - exact) <= 4 * stats.error_bar
+
 
 def _continuous_born_table(a, system, state):
     """The continuous quorum's pooled (node, outcome) row, built by eigh of S.n per node.
@@ -860,11 +871,53 @@ class TestShotRoute:
         assert np.array_equal(counts, [want, want])
 
 
+class TestDrawGrouping:
+    """One generator per estimate: blocks drawn several to a call keep their bits."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "sizes, shots",
+        [([40] * 7, [False] * 7), ([1] * 7, [True] * 7),
+         ([17, 16, 16, 1], [False, False, False, True])],
+        ids=["counts", "shots", "mixed"],
+    )
+    def test_sums_do_not_depend_on_the_cap(self, rows, sizes, shots, rng, monkeypatch):
+        probs = rng.random((rows, 64))
+        probs[:, ::5] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        values = rng.normal(size=probs.shape)
+        sizes = np.array(sizes)
+        assert estimator._by_shots(sizes, probs).tolist() == shots
+        sums = []
+        for cap in (1, estimator._CELLS):  # one block per call, then the default
+            monkeypatch.setattr(estimator, "_CELLS", cap)
+            sums.append(estimator._block_sums(probs, values, sizes, 8).tolist())
+        assert sums[0] == sums[1]
+
+    def test_peak_memory_independent_of_n_blocks(self, rng):
+        # the d = 32 continuous table is one row of 76,160 cells, more than
+        # a quarter of the cap: blocks of counts are drawn three to a call
+        sys_ = make_spin_system(31)
+        table = estimator._continuous_table(random_hermitian(32, rng), sys_, random_density(32, rng))
+        assert table.probs.shape == (1, 76_160)
+        peaks = []
+        for n_blocks in (20, 200):
+            assert not estimator._by_shots(estimator._blocks(10**6, n_blocks, "n"), table.probs).any()
+            tracemalloc.start()
+            try:
+                table.estimate(10**6, n_blocks, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
 class TestShotRouteBitIdentical:
     """Blocks that draw shots keep their inverse-transform draw.
 
     The block means below were recorded with every block on the shot route
-    of a one-row table; a change to the route must not move them by a bit.
+    of a one-row table, drawn from one generator per estimate; a change to
+    the route must not move them by a bit.
     """
 
     def test_continuous_d16(self):
@@ -875,11 +928,11 @@ class TestShotRouteBitIdentical:
         assert estimator._by_shots(estimator._blocks(10_000, 20, "n"), probs).all()
         stats = estimate_continuous(a, sys_, state, 10_000, n_blocks=20, seed=7)
         assert stats.block_means == (
-            21.246154038215526, 30.02556287018996, 22.14026634817465, 25.636208737199006,
-            29.81274562707814, 21.694806008545928, 14.29488753048827, 25.189817214391088,
-            31.589431299208538, 21.422565243477198, 22.04726652747204, 21.890226074711055,
-            24.918766964409304, 31.676922030303565, 24.81498552789383, 21.865903359843475,
-            30.61507242698779, 22.868176802119372, 28.826275275305438, 26.11264188800835,
+            21.246154038215526, 17.856535205235133, 21.60532855651285, 28.09975089510646,
+            22.022764120123288, 20.326136725877937, 22.8268200862172, 13.957831286339724,
+            25.233860460392354, 24.37830267148551, 20.16773163919123, 26.582828282148977,
+            18.029451063532886, 23.19991840378864, 23.863748114598362, 22.747386947806998,
+            26.633432452112256, 20.7274195787212, 22.366156018762776, 26.102700034222643,
         )
 
     def test_uniform_d16(self):
@@ -893,11 +946,11 @@ class TestShotRouteBitIdentical:
         assert estimator._by_shots(np.array([256]), np.zeros((1, 4096))).all()
         stats = estimate_discrete(a, q, dual, rho, 20, n_blocks=20, seed=3, selection="uniform")
         assert stats.block_means == (
-            132.22693440962985, 31.64693175946625, 162.42799513651667, -20.400302007923074,
-            -34.212735589385375, 31.82321177257603, 361.0689031771085, 205.3908989205771,
-            24.06755628547063, -350.48922252273394, -497.7207851891033, -302.8166959796852,
-            -152.87656312546576, -120.36386453196789, 69.81547457515452, 58.251166641004104,
-            -133.39843438899806, 31.029404816349775, 263.01344260109613, 220.27462857463476,
+            132.22693440962985, 166.4115247109318, 253.8389545904265, 127.56788661826259,
+            99.10433607933841, 85.18975058744842, -52.36304820577692, -103.17321818255246,
+            -164.38677908582366, 279.51442224192203, -93.62281671095268, 118.46030685972855,
+            108.61694540348574, -138.88031889628058, -105.09133001464124, -160.9267777197614,
+            -84.17689416899714, -33.40875731122296, 187.72076326522918, -374.76347780404035,
         )
 
 
@@ -905,7 +958,8 @@ class TestCountsRouteBitIdentical:
     """Blocks that draw counts keep the multinomial count draw.
 
     The block means below were recorded when every block took the count
-    draw; the shot route must not move them by a bit.
+    draw, from one generator per estimate; the shot route must not move
+    them by a bit.
     """
 
     def test_pauli(self, spin_half):
@@ -914,8 +968,8 @@ class TestCountsRouteBitIdentical:
         state = coherent_state(spin_half, 0.3 + 0.2j)
         stats = estimate_discrete(a, q, dual, state, 1003, n_blocks=5, seed=4)
         assert stats.block_means == (
-            0.2796019900497513, 0.2796019900497513, 0.28059701492537314, 0.264,
-            0.29600000000000004,
+            0.2796019900497513, 0.2756218905472637, 0.30746268656716425, 0.281,
+            0.32300000000000006,
         )
 
     def test_weigert_d8(self):
@@ -925,6 +979,6 @@ class TestCountsRouteBitIdentical:
         a = sys_.sz @ sys_.sz + sys_.sx
         stats = estimate_weigert(a, wq, state, 1003, n_blocks=5, seed=4)
         assert stats.block_means == (
-            42.498654106953374, 10.92726282283104, 47.50681107948232, 7.634456526558315,
-            -39.346632879333484,
+            42.498654106953374, -24.577533100237503, 23.1612086966586, 115.41396060346032,
+            5.720601281732907,
         )
