@@ -79,26 +79,39 @@ class SpinSystem:
         so <R m|X|R m> = sum_kl conj(c_k) X_kl c_l exp(i phi (k - l)) is a
         trigonometric polynomial in phi.  Its 2d - 1 coefficients are summed
         once per ring, O(d^3), and evaluated at every phi by one product.
+        The coefficients are laid out [X, frequency, (ring, m)], so each
+        product and sum runs over all rings at once, on contiguous rows.
         """
-        d = self.dim
+        d, n_ops = self.dim, len(ops)
         c = self.rotated_basis(theta, np.zeros_like(theta))  # [ring, m, k]
-        c_lm = c.transpose(0, 2, 1)
-        by_freq = np.zeros((len(ops), theta.size, 2 * d - 1, d), dtype=complex)
+        c_k = np.ascontiguousarray(c.transpose(2, 0, 1)).reshape(d, -1)  # [k, (ring, m)]
+        c_conj, c_rev = c_k.conj(), c_k[::-1]  # c_rev is [l = d-1 ... 0, (ring, m)]
+        by_freq = np.zeros((n_ops, 2 * d - 1, c_k.shape[1]), dtype=complex)
+        terms = np.empty((n_ops, d, c_k.shape[1]), dtype=complex)
         for k in range(d):
-            terms = c[:, None, :, k].conj() * ops[:, None, k, :, None] * c_lm  # [X, ring, l, m]
-            # l = d-1 ... 0 has frequency k - l, stored at index k - l + d - 1
-            by_freq[:, :, k:k + d] += terms[:, :, ::-1]
+            # (conj(c_k) X_kl) c_l for l = d-1 ... 0, of frequency k - l at index k - l + d - 1
+            np.multiply(c_conj[k], ops[:, k, ::-1, None], out=terms)
+            terms *= c_rev
+            by_freq[:, k:k + d] += terms
+        del terms  # so that the copy below peaks at twice by_freq
+        by_freq = by_freq.reshape(n_ops, 2 * d - 1, theta.size, d).transpose(0, 2, 1, 3)
+        by_freq = np.ascontiguousarray(by_freq)  # [X, ring, f, m]
         return (np.exp(1j * np.outer(phi, np.arange(1 - d, d))) @ by_freq).real
+
+    @functools.cached_property
+    def _direction_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        theta, phi, w_cos = _legendre_rings(self.two_s + 4, 2 * self.two_s + 6)
+        return _frozen(theta), _frozen(phi), _frozen(w_cos / (2 * phi.size))
 
     def direction_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(theta, phi, w) of the (2s+4) x (4s+6) Gauss-Legendre x trapezoid grid.
 
         It integrates the degree-4s direction average of the continuous
         quorum exactly.  ``w`` is each ring's per-node weight
-        w_cos / (2 n_phi); over all nodes the weights sum to 1.
+        w_cos / (2 n_phi); over all nodes the weights sum to 1.  The grid is
+        built once per system, and its arrays are read-only.
         """
-        theta, phi, w_cos = _legendre_rings(self.two_s + 4, 2 * self.two_s + 6)
-        return theta, phi, w_cos / (2 * phi.size)
+        return self._direction_grid
 
 
 def make_spin_system(two_s: int) -> SpinSystem:

@@ -645,8 +645,12 @@ def test_unwritable_output_exits_2(runner, tmp_path, args):
      "unknown state spec 'spin:1'; use coherent:A, basis:M or density:PATH"),
     (["simulate", "--target", "sw"], None, {},
      "unknown target spec 'sw'; use sx, sy, sz or file:PATH"),
+    # refused before its 4 GB of ring sums are allocated
+    (["simulate", "--quorum", "continuous", "--spin-two-s", "400"], None, {},
+     "the continuous quorum at d = 401 has 130,575,224 (direction, outcome) cells, "
+     "above the cap of 5,000,000"),
 ], ids=["config-list", "seed-env-not-integer", "check-file-and-pauli", "unknown-state",
-        "unknown-target"])
+        "unknown-target", "oversized-continuous"])
 def test_refused_input_exits_2(runner, tmp_path, args, config, env, message):
     paths = {"config": tmp_path / "cfg.json", "quorum": tmp_path / "q.json"}
     paths["config"].write_text(json.dumps(config))

@@ -1,9 +1,12 @@
+import hashlib
 import re
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintomo import estimator
 from spintomo import (
@@ -31,7 +34,7 @@ from spintomo import (
     weigert_quorum,
 )
 from spintomo.estimator import _state_factors
-from spintomo.spin import Direction
+from spintomo.spin import Direction, SpinSystem
 
 from conftest import SX, SZ, psi_quadrature_kernel, random_quorum
 
@@ -198,7 +201,7 @@ class TestBlockStats:
         """
         drawn = []
 
-        def block_sums(probs, values, sizes, seed):
+        def block_sums(probs, values, sizes, seed, search=None):
             drawn.append(list(sizes))
             bounds = np.cumsum(sizes)[:-1]
             return (float(np.sum(b)) for b in np.split(np.asarray(stream, float), bounds))
@@ -753,8 +756,8 @@ class TestCountSampler:
         calls = []
         draw = estimator._block_sums
 
-        def recording(probs, values, sizes, seed):
-            sums = list(draw(probs, values, sizes, seed))
+        def recording(probs, values, sizes, seed, search=None):
+            sums = list(draw(probs, values, sizes, seed, search))
             calls.append((probs, values, sizes, seed, sums))
             yield from sums
 
@@ -910,6 +913,133 @@ class TestDrawGrouping:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+
+@st.composite
+def _cumulative_rows(draw):
+    """A cumulative row of M cells ending at exactly 1.0, from 2 to 10**5 cells.
+
+    "edges", "one per edge" and "on the edges" put the cumulative values on
+    the bucket edges j/M and their neighbours, where x M rounds onto a
+    bucket edge; the other kinds are rows of ``_RowSearch``: runs of
+    zero-probability cells, all of the mass in one cell, and equal cells.
+    """
+    m = draw(st.one_of(st.integers(2, 64), st.integers(65, 10**5)))
+    kinds = ["edges", "one per edge", "on the edges", "zero runs", "one cell", "equal"]
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.arange(m) / m
+    near = np.stack([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    if kind == "edges":
+        return np.append(np.sort(rng.choice(near.reshape(-1), m - 1)), 1.0)
+    if kind == "on the edges":  # one cell a bucket, where j/M M may round below j
+        return np.append(edges[1:], 1.0)
+    if kind == "one per edge":  # a bucket of one cell searches in one step
+        return np.append(near[rng.integers(3, size=m - 1), np.arange(1, m)], 1.0)
+    probs = np.zeros(m) if kind == "one cell" else np.ones(m)
+    if kind == "one cell":
+        probs[rng.integers(m)] = 1.0
+    elif kind == "zero runs":
+        probs = rng.random(m) ** 4
+        for start in rng.integers(0, m, size=rng.integers(1, 6)):
+            probs[start:start + rng.integers(1, m + 1)] = 0.0
+        probs[rng.integers(m)] += 0.5
+    return estimator._RowSearch((probs / probs.sum())[None]).cum[0]
+
+
+class TestGuidedSearch:
+    """The guide-table lookup of a long row picks the cell that searchsorted picks."""
+
+    @given(_cumulative_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_same_cell_as_searchsorted(self, cum):
+        m = cum.size
+        edges = np.arange(m) / m
+        keys = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                               cum[cum < 1], [0.0, 1.0 - 2.0**-53],
+                               np.random.default_rng(m).random(1000)])
+        want = cum.searchsorted(keys, side="right")
+        assert np.array_equal(estimator._guided_search(cum)(keys), want)
+
+    def test_long_one_row_tables_only(self, monkeypatch):
+        calls = []
+        guided = estimator._guided_search
+
+        def recording(cum):
+            calls.append(cum.size)
+            return guided(cum)
+
+        monkeypatch.setattr(estimator, "_guided_search", recording)
+        n = estimator._GUIDED_CELLS
+        for shape in [(1, n - 1), (2, n), (1, n)]:
+            probs = np.full(shape, 1.0 / shape[1])
+            estimator._block_sums(probs, np.ones(shape), np.array([1, 1]), 3)
+        assert calls == [n]
+
+    def test_block_sums_do_not_depend_on_the_lookup(self, monkeypatch):
+        # every one-row table guided, then none: the same bits, whatever the
+        # route of each block
+        for i in range(60):
+            rng = np.random.default_rng([7, i])
+            m = int(rng.integers(2, 20_000))
+            probs = rng.random((1, m)) ** 4
+            probs[rng.random((1, m)) < 0.5] = 0.0
+            probs[:, 0] += 1e-3
+            probs /= probs.sum()
+            values = rng.normal(size=probs.shape)
+            sizes = estimator._blocks(int(rng.integers(20, 20 * m)), 20, "n")
+            sums = []
+            for cells in (0, 2**62):
+                monkeypatch.setattr(estimator, "_GUIDED_CELLS", cells)
+                sums.append(estimator._block_sums(probs, values, sizes, i).tobytes())
+            assert sums[0] == sums[1]
+
+
+class TestContinuousTableBytes:
+    """The continuous table's bytes, recorded before the ring sums were laid out by frequency."""
+
+    @staticmethod
+    def _digests(table):
+        return [hashlib.sha256(x.tobytes()).hexdigest() for x in (table.probs, table.values)]
+
+    def test_mixed_d8(self):
+        rng = np.random.default_rng(21)
+        rho, a = random_density(8, rng), random_hermitian(8, rng)
+        table = estimator._continuous_table(a, make_spin_system(7), rho)
+        assert table.probs.shape == (1, 1760)
+        assert self._digests(table) == [
+            "513e27231881d2e7f954c873d3ec4c994cf91264422c16c112573b27a3e07091",
+            "b6b47205a78e5be2a076be36fba513cfaeda29dbcb505248665209e94e73bc50",
+        ]
+
+    def test_coherent_d16(self):
+        sys_ = make_spin_system(15)
+        a = sys_.sz @ sys_.sz + sys_.sx
+        table = estimator._continuous_table(a, sys_, coherent_state(sys_, 0.4 + 0.3j))
+        assert table.probs.shape == (1, 10_944)
+        assert self._digests(table) == [
+            "83bda67671e89fbf21abd5c295ee37e8d5a16fab07a736dc2575bbee07cab07a",
+            "1152aa207f401dea9405e481787dcaf5e6bece037fa85381c7bbeef940364add",
+        ]
+
+
+class TestContinuousCellCap:
+    """A continuous grid too large to build is refused by name, before any large allocation."""
+
+    def test_cap_admits_d128_and_refuses_d401(self):
+        cells = [np.prod([x.size for x in make_spin_system(d - 1).direction_grid()[:2]]) * d
+                 for d in (128, 401)]
+        assert cells == [4_359_680, 130_575_224]
+        assert cells[0] <= estimator._CONTINUOUS_CELLS < cells[1]
+
+    def test_refused_before_the_diagonals(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("diagonals ran")
+
+        monkeypatch.setattr(SpinSystem, "diagonals", never)
+        sys_ = make_spin_system(400)
+        with pytest.raises(ValueError, match=r"d = 401 has 130,575,224 .* cap of 5,000,000"):
+            estimator._continuous_table(sys_.sz, sys_, basis_state(sys_, 0))
 
 
 class TestShotRouteBitIdentical:

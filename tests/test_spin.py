@@ -99,6 +99,35 @@ class TestRotation:
         assert np.abs(u - np.eye(3)).max() <= 1e-10
 
 
+class TestDiagonals:
+    @pytest.mark.parametrize("two_s", range(1, 8))
+    def test_matches_node_by_node_reference(self, two_s):
+        # <R m|X|R m> at every grid node, from the rows of rotated_basis
+        sys_ = make_spin_system(two_s)
+        rng = np.random.default_rng(two_s)
+        ops = np.stack([random_hermitian(sys_.dim, rng) for _ in range(3)])
+        theta, phi, _ = sys_.direction_grid()
+        want = np.empty((len(ops), theta.size, phi.size, sys_.dim))
+        for i, t in enumerate(theta):
+            for j, p in enumerate(phi):
+                rows = sys_.rotated_basis(t, p)[0]
+                for x, op in enumerate(ops):
+                    want[x, i, j] = np.einsum("mk,kl,ml->m", rows.conj(), op, rows).real
+        got = sys_.diagonals(theta, phi, ops)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_direction_grid_built_once(self):
+        sys_ = make_spin_system(5)
+        grid = sys_.direction_grid()
+        again = sys_.direction_grid()
+        assert all(a is b for a, b in zip(grid, again))
+        for arr in grid:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestPauliQuorum:
     def test_complete(self):
         report = completeness_check(pauli_quorum()[0])
