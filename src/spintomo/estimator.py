@@ -22,9 +22,10 @@ each of k rows of M cells draws each row's shots by inverse transform, one
 binary search of the row per shot, when that takes fewer steps than the
 row has cells, and otherwise the counts of every cell in one multinomial,
 so per block it costs O(k min(nb log M, M)) time and O(kM) memory.  On a
-long one-row table, such as the continuous grid, each search starts from
-a guide table (the indexed search of Chen and Asau) and picks the same
-cell as a plain binary search, so the draws keep their bits.
+long one-row table, such as the continuous grid, a numpy call with enough
+shots to repay a guide table (the indexed search of Chen and Asau)
+searches from one, and picks the same cell as a plain binary search, so
+the draws keep their bits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frames import DualFrame, Quorum, _require_aligned
-from .liouville import DimensionMismatchError, as_operator, eig_hermitian, require_hermitian
+from .liouville import DimensionMismatchError, as_operator, require_hermitian
 from .spin import Direction, SpinState, SpinSystem, WeigertQuorum
 
 
@@ -163,9 +164,15 @@ _CELLS = 1 << 18
 # Shortest row of a one-row table whose shots are looked up through a guide
 # table rather than by searchsorted.  A shorter row's estimates make few
 # lookups (a block draws shots only below M / log2 M of them), too few to
-# repay the guide's fixed cost: about 10 us a call, and 8 ns a cell to
+# repay the guide's fixed cost: about 20 us a call, and 8 ns a cell to
 # build.  Spin-half's 80-cell continuous row keeps searchsorted.
 _GUIDED_CELLS = 1 << 12
+# A call on such a row builds its guide only when it looks up at least
+# M / _GUIDE_REPAY keys.  A guided key saves about 100 ns over
+# searchsorted, so a call repays the build from about M / 8 keys on at
+# d = 16 and M / 20 at d = 32; a call of fewer keys uses the guide only
+# once an earlier call has built it.
+_GUIDE_REPAY = 8
 
 
 def _guided_search(cum: np.ndarray):
@@ -204,11 +211,12 @@ class _RowSearch:
     at exactly 1.0: every u in [0, 1) lands in its row, and never in a
     cell of probability zero, an empty interval.  A key is looked up by
     ``searchsorted(side="right")``, or, in a one-row table of at least
-    ``_GUIDED_CELLS`` cells, by a guide table built on first use, once per
-    ``CountTable``; both pick the same cell.  Timed on one core of a
-    2-vCPU Xeon VM on the 10,944-cell d = 16 continuous row, 10,000
-    unsorted keys take 1.03 ms by searchsorted and 0.16 ms guided, and
-    building the guide 0.24 ms; 100 keys take 3 us and 14 us.
+    ``_GUIDED_CELLS`` cells, by a guide table, built once per
+    ``CountTable`` by the first call of at least M / ``_GUIDE_REPAY`` keys
+    and used by every call after it; both pick the same cell.  Timed on one
+    core of a 2-vCPU Xeon VM on the 10,944-cell d = 16 continuous row,
+    10,000 unsorted keys take 1.29 ms by searchsorted and 0.18 ms guided,
+    and building the guide 0.09 ms; 100 keys take 4 us and 21 us.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -221,7 +229,9 @@ class _RowSearch:
 
     def __call__(self, k: int, u: np.ndarray) -> np.ndarray:
         """The cell index of row k for each uniform of ``u``."""
-        if self.cum.shape[0] == 1 and self.cum.shape[1] >= _GUIDED_CELLS:
+        m = self.cum.shape[1]
+        if self.cum.shape[0] == 1 and m >= _GUIDED_CELLS and (
+                "_guided" in self.__dict__ or u.size * _GUIDE_REPAY >= m):
             return self._guided(u)
         return self.cum[k].searchsorted(u, side="right")
 
@@ -324,13 +334,13 @@ def _discrete_table(a: np.ndarray, quorum: Quorum, dual: DualFrame, state) -> Co
     A sample of setting x with outcome index m contributes
     eigenvalue_m * Tr[B_x^dag a].  Settings whose observable has a single
     distinct eigenvalue (e.g. the identity) contribute that value exactly
-    and consume no samples.  All settings are diagonalised in one batch.
+    and consume no samples.  All settings are diagonalised in one batch,
+    once per quorum (``Quorum.eigensystem``).
     """
     a = _target(a, quorum.dim)
     _require_aligned(quorum, dual)
     weights, factors = _state_factors(state, quorum.dim)
-    require_hermitian(quorum.elements, [f"quorum element {label!r}" for label in quorum.labels])
-    w, v = eig_hermitian(quorum.elements)
+    w, v = quorum.eigensystem
     # One vdot per setting: a stacked matrix-vector product sums in another
     # order and would move every coefficient in its last bits.
     coeffs = [_dual_coefficient(b, a, f"setting {label!r}")

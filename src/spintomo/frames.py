@@ -22,8 +22,10 @@ from .liouville import (
     DimensionMismatchError,
     _frozen,
     _operator_stack,
+    eig_hermitian,
     hs_norm,
     random_operator,
+    require_hermitian,
     superop_from_frame,
 )
 
@@ -92,7 +94,8 @@ class Quorum(_Frame):
     """Ordered family of same-dimension operators with setting labels.
 
     Being immutable, a quorum is factorised once: ``svd`` is computed on
-    first use and shared by the rank test, the witness and the Gram dual.
+    first use and shared by the rank test, the witness and the Gram dual,
+    and ``eigensystem`` by every count table of its settings.
     """
 
     labels: tuple[str, ...]
@@ -122,6 +125,19 @@ class Quorum(_Frame):
             a.setflags(write=False)  # shared by every caller
         # sigma is never empty; an all-zero quorum gets rank 0 from the strict ">".
         return u, sigma, vh, int(np.sum(sigma > RANK_RTOL * sigma[0]))
+
+    @functools.cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eig_hermitian`` of all settings in one batch: values (N, d), vectors (N, d, d).
+
+        A setting that is not Hermitian raises ``NotHermitianError`` naming
+        its label, on every access, as nothing is cached then.
+        """
+        require_hermitian(self.elements, [f"quorum element {label!r}" for label in self.labels])
+        w, v = eig_hermitian(self.elements)
+        w.setflags(write=False)  # shared by every caller
+        v.setflags(write=False)
+        return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +366,7 @@ def verify_spanning_definitions(
 
     vc = q.coefficient_matrix().T
     vb = dual.coefficient_matrix().T
+    vch, vbh = vc.conj().T, vb.conj().T
     superop = superop_from_frame(q.elements, dual.elements)
     identity = np.eye(q.dim * q.dim, dtype=complex)
     res_iii = float(np.abs(superop - identity).max())
@@ -360,9 +377,10 @@ def verify_spanning_definitions(
         rng = np.random.default_rng([seed, t])
         a = random_operator(q.dim, rng).reshape(-1)
         norm_sq = float(np.real(np.vdot(a, a)))
-        recon = vc @ (vb.conj().T @ a)
+        coeffs = vbh @ a  # Tr[B_n^dag a]
+        recon = vc @ coeffs
         res_i = max(res_i, float(np.linalg.norm(a - recon) / (1.0 + np.sqrt(norm_sq))))
-        parseval = np.sum(np.conj(vc.conj().T @ a) * (vb.conj().T @ a))
+        parseval = np.sum(np.conj(vch @ a) * coeffs)
         res_iv = max(res_iv, float(abs(parseval - norm_sq) / (1.0 + norm_sq)))
 
     checks = {

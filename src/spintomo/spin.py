@@ -24,6 +24,11 @@ from .liouville import _frozen, eig_hermitian, op_exp
 # we accept it when the Gram matrix is this well conditioned.
 WEIGERT_CONDITION_CAP = 1e10
 
+# Most (ring, m, (j, r)) entries of the ring products that
+# su2_orthogonality_residual stacks into one matrix product: bounds its
+# memory whatever n_theta is.
+_SU2_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class SpinSystem:
@@ -364,29 +369,44 @@ def su2_orthogonality_residual(system: SpinSystem, grid) -> float:
     trigonometric polynomials with integer frequencies in phi and psi,
     which the trapezoid rule integrates exactly once the node count exceeds
     the highest frequency.
+
+    The phi sum is taken in closed form.  The only phi dependence of a
+    product is the phase exp(-i phi ((j - r) - (k - t))), and the n_phi
+    trapezoid nodes sum it to exactly 2 pi when (j - r) - (k - t) = 0
+    (mod n_phi) and to 0 otherwise.  That Kronecker delta keeps the
+    aliasing of a coarse phi grid, so the result is the node-by-node sum
+    up to roundoff, at O(n_theta d^5) cost whatever n_phi is, in O(d^4)
+    memory whatever n_theta is.
     """
     n_theta, n_phi, n_psi = _grid_counts(grid)
     d = system.dim
-    thetas, phi, w_cos = _legendre_rings(n_theta, n_phi)
+    thetas, _, w_cos = _legendre_rings(n_theta, n_phi)
     psi, w_psi = _psi_rule(n_psi)
-    w_phi = 2 * math.pi / n_phi
 
     # The psi sum first: exp(i psi S.n) = R exp(i psi S_z) R^dag, so the psi
-    # average of <j|U|r> conj(<k|U|t>) is sum_mm' X[m, jr] H[m, m'] conj(X[m', kt])
-    # with X[m, jr] = R_jm conj(R_rm) and H[m, m'] = sum_psi w_psi e^{i psi (m - m')}.
+    # average of <j|U|r> conj(<k|U|t>) is sum_mm' Y[m, jr] H[m, m'] conj(Y[m', kt])
+    # times exp(-i phi ((j - r) - (k - t))), with Y[m, jr] = <j|R|m> conj(<r|R|m>)
+    # for R at phi = 0 and H[m, m'] = sum_psi w_psi e^{i psi (m - m')}.
     m = np.arange(d)
     h = np.tensordot(w_psi, np.exp(1j * psi[:, None, None] * (m[:, None] - m[None, :])), axes=1)
     acc = np.zeros((d * d, d * d), dtype=complex)
-    # One theta ring at a time keeps memory flat; the ring order is fixed so
-    # the summation is deterministic.
-    for it in range(n_theta):
-        rows = system.rotated_basis(np.full(n_phi, thetas[it]), phi)  # rows[f, m] = R|m>
-        x = (rows[:, :, :, None] * rows.conj()[:, :, None, :]).reshape(n_phi, d, d * d)
-        hx = (h @ x.conj()).reshape(-1, d * d)
-        acc += (w_cos[it] * w_phi) * (x.reshape(-1, d * d).T @ hx)
-    acc *= (system.dim) / (4 * math.pi**2)
+    # The rings are stacked in chunks of at most _SU2_ENTRIES entries of Y,
+    # in ascending order, so memory does not grow with n_theta and the
+    # summation is deterministic.
+    per_chunk = max(1, _SU2_ENTRIES // d**3)
+    for lo in range(0, n_theta, per_chunk):
+        ring = slice(lo, lo + per_chunk)
+        c = system.rotated_basis(thetas[ring], 0.0)  # [ring, m, j]
+        y = (c[:, :, :, None] * c.conj()[:, :, None, :]).reshape(-1, d, d * d)
+        hy = h.conj() @ y  # conj(H conj(Y)) per ring, without a conjugated copy of Y
+        np.conjugate(hy, out=hy)
+        hy *= w_cos[ring, None, None]
+        acc += y.reshape(-1, d * d).T @ hy.reshape(-1, d * d)
+    # acc[(j, r), (k, t)] integrates <j|U|r> conj(<k|U|t>) = <j|U|r><t|U^dag|k>;
+    # the phi sum keeps (j - r) = (k - t) (mod n_phi) with weight 2 pi.
+    q = (m[:, None] - m[None, :]).reshape(-1) % n_phi
+    acc *= q[:, None] == q[None, :]
+    acc *= d / (2 * math.pi)
 
-    # acc[(j, r), (k, t)] integrates <j|U|r> conj(<k|U|t>) = <j|U|r><t|U^dag|k>
-    eye = np.eye(d)
-    target = np.einsum("jk,rt->jrkt", eye, eye).reshape(d * d, d * d)
-    return float(np.abs(acc - target).max())
+    acc.flat[:: d * d + 1] -= 1.0  # the target delta_jk delta_tr is the d^2 identity
+    return float(np.abs(acc).max())

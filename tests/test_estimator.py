@@ -373,6 +373,25 @@ class TestDiscreteEstimator:
         dual = DualFrame.from_elements([SX / 2, SX / 2, SZ / 2])
         with pytest.raises(NotHermitianError, match="quorum element 'bad'"):
             estimate_discrete(SZ, q, dual, coherent2, 100)
+        # a failed diagonalisation is not cached: the next call raises again
+        with pytest.raises(NotHermitianError, match="quorum element 'bad'"):
+            discrete_exact_value(SZ, q, dual, coherent2)
+
+    def test_one_eigh_per_quorum(self, coherent2, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        q, dual = pauli_quorum()
+        estimate_discrete(SZ, q, dual, coherent2, 100, seed=3)
+        discrete_exact_value(SX, q, dual, coherent2)
+        assert calls == [(4, 2, 2)]
+        w, v = q.eigensystem
+        assert not w.flags.writeable and not v.flags.writeable
 
     def test_exact_probability_identity_random(self, spin_half, rng):
         q, dual = pauli_quorum()
@@ -971,10 +990,27 @@ class TestGuidedSearch:
 
         monkeypatch.setattr(estimator, "_guided_search", recording)
         n = estimator._GUIDED_CELLS
+        sizes = np.full(20, 100)  # 2,000 shots a call, enough to repay a guide of n cells
         for shape in [(1, n - 1), (2, n), (1, n)]:
             probs = np.full(shape, 1.0 / shape[1])
-            estimator._block_sums(probs, np.ones(shape), np.array([1, 1]), 3)
+            estimator._block_sums(probs, np.ones(shape), sizes, 3)
         assert calls == [n]
+        # two shots do not repay it
+        estimator._block_sums(probs, np.ones(shape), np.array([1, 1]), 3)
+        assert calls == [n]
+
+    def test_few_shots_leave_the_guide_unbuilt(self):
+        sys_ = make_spin_system(15)
+        state = coherent_state(sys_, 0.4 + 0.3j)
+        table = estimator._continuous_table(sys_.sx, sys_, state)
+        guided = estimator._continuous_table(sys_.sx, sys_, state)
+        guided._search._guided  # built up front: every call looks up through it
+        few = table.estimate(20, 20, 5)  # 20 blocks of 1 shot, one numpy call of 20 keys
+        assert "_guided" not in table._search.__dict__
+        assert few.block_means == guided.estimate(20, 20, 5).block_means
+        # the continuous-spin estimates at d = 16 look up 10,000 keys in one call
+        table.estimate(10_000, 20, 6)
+        assert "_guided" in table._search.__dict__
 
     def test_block_sums_do_not_depend_on_the_lookup(self, monkeypatch):
         # every one-row table guided, then none: the same bits, whatever the
@@ -991,7 +1027,9 @@ class TestGuidedSearch:
             sums = []
             for cells in (0, 2**62):
                 monkeypatch.setattr(estimator, "_GUIDED_CELLS", cells)
-                sums.append(estimator._block_sums(probs, values, sizes, i).tobytes())
+                search = estimator._RowSearch(probs)
+                search._guided  # built up front, so a call of any number of keys uses it
+                sums.append(estimator._block_sums(probs, values, sizes, i, search).tobytes())
             assert sums[0] == sums[1]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,10 +323,15 @@ class TestGroupOrthogonality:
         for coarse, fine in zip(res, res[1:]):
             assert fine <= 1.1 * coarse + 1e-12
 
-    @pytest.mark.parametrize("two_s, grid", [(7, (8, 8, 8)), (3, (8, 9, 10))])
+    @pytest.mark.parametrize(
+        "two_s, grid", [(7, (8, 8, 8)), (3, (8, 9, 10)), (5, (8, 9, 9)), (7, (9, 8, 11))]
+    )
     def test_residual_matches_node_by_node_reference(self, two_s, grid):
         # exp(i psi S.n) at every (theta, phi, psi) node, summed in the plain
-        # order; (8, 8, 8) is too coarse for s = 7/2, so the residual is O(1)
+        # order.  All grids but (8, 9, 10) alias in phi: n_phi <= 2d - 2, so
+        # some (j - r) - (k - t) is a nonzero multiple of n_phi.  They include
+        # an odd n_phi and n_theta > n_phi; (8, 8, 8) is too coarse for s = 7/2,
+        # so the residual is O(1)
         sys_ = make_spin_system(two_s)
         n_theta, n_phi, n_psi = grid
         cos_t, w_cos = np.polynomial.legendre.leggauss(n_theta)
@@ -341,6 +347,24 @@ class TestGroupOrthogonality:
         eye = np.eye(sys_.dim)
         want = np.abs(acc - np.einsum("jk,rt->jrkt", eye, eye).reshape(acc.shape)).max()
         assert su2_orthogonality_residual(sys_, grid) == pytest.approx(want, rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("two_s, grid", [(15, (40, 40, 80)), (31, (34, 64, 36))])
+    def test_relation_holds_at_large_d(self, two_s, grid):
+        assert su2_orthogonality_residual(make_spin_system(two_s), grid) <= 1e-12
+
+    def test_memory_flat_in_n_theta(self):
+        # at d = 16 the ring products of 16 rings fill one chunk; without the
+        # chunks, 400 rings would stack 26 MB of them
+        sys_ = make_spin_system(15)
+        peaks = []
+        for grid in [(16, 8, 8), (400, 8, 8)]:
+            tracemalloc.start()
+            try:
+                su2_orthogonality_residual(sys_, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_degenerate_grid_rejected(self):
         sys_ = make_spin_system(1)
